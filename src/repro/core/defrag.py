@@ -48,11 +48,6 @@ from repro.placement.compaction import (
 )
 from repro.placement.free_space import largest_empty_rectangle
 
-#: Distinct-from-everything sentinel for memo lookups whose values may
-#: legitimately be ``None``.
-_MISS = object()
-
-
 @dataclass
 class RearrangementPlan:
     """A target rectangle plus the moves that make it free."""
@@ -99,15 +94,6 @@ class DefragPlanner:
         #: plans, all pure functions of the grid named by the token.
         self._cache_token: object = None
         self._shared: dict | None = None
-        #: content-addressed L2 for the shared state: every entry in the
-        #: per-token dict is a pure function of the occupancy *bytes*, so
-        #: when the fabric revisits an earlier layout bit-for-bit (place
-        #: then finish restores the grid; admission streams do this for
-        #: well over half their planning rounds) the whole dict — packed
-        #: rows, footprints, compaction sweeps, screens, finished plans —
-        #: is replayed instead of recomputed.  Bounded; cleared wholesale
-        #: when full (entries are cheap to rebuild).
-        self._grid_states: dict[bytes, dict] = {}
         #: pooled scratch arrays for the vectorised screen, keyed by the
         #: (rows, windows) working-set shape.  ``pop``/reinsert keeps
         #: concurrent callers from sharing a buffer.
@@ -132,7 +118,7 @@ class DefragPlanner:
         planner run per distinct shape.  Without a token every call
         computes from scratch.
         """
-        shared = self._shared_state(token, occupancy)
+        shared = self._shared_state(token)
         if shared is not None and (height, width) in shared["plans"]:
             return shared["plans"][height, width]
         result = self._plan_uncached(occupancy, height, width, shared)
@@ -140,81 +126,26 @@ class DefragPlanner:
             shared["plans"][height, width] = result
         return result
 
-    def _shared_state(self, token: object,
-                      occupancy: np.ndarray) -> dict | None:
-        """The per-token scratch dict (fresh when the token moved).
-
-        A token change re-keys the dict by the occupancy *content*
-        (:attr:`_grid_states`): distinct tokens naming bit-identical
-        grids — the same engine after a place/finish round trip, or two
-        fleet members in the same layout — share one dict, and every
-        entry (being a pure function of the grid) replays exactly.
-        """
+    def _shared_state(self, token: object) -> dict | None:
+        """The per-token scratch dict (fresh when the token moved)."""
         if token is None:
             return None
         if self._cache_token != token:
             self._cache_token = token
-            key = occupancy.tobytes()
-            shared = self._grid_states.get(key)
-            if shared is None:
-                if len(self._grid_states) >= 64:
-                    self._grid_states.clear()
-                shared = {"plans": {}, "compaction": {}, "screens": {}}
-                self._grid_states[key] = shared
-            self._shared = shared
+            self._shared = {"plans": {}, "compaction": {}}
         return self._shared
 
     def plan_prefetch(self, occupancy: np.ndarray,
                       shapes: list[tuple[int, int]],
                       token: object) -> None:
-        """Batch-resolve :meth:`plan` for several shapes at one token.
+        """:meth:`plan` for each shape, discarding the answers.
 
-        The admission loop calls this with every queue-eligible shape
-        still waiting on an unchanged fabric, so the per-item ``plan``
-        calls that follow are memo hits.  The answers are identical to
-        per-shape calls — the batch merely shares the shape-independent
-        work and runs **one** eviction screen over the concatenated
-        candidate windows of every shape instead of one vectorised pass
-        per shape (the screen's cost is dominated by per-op dispatch,
-        not array size).
+        Nothing in the package calls this.  It stays only because the
+        benchmark's tracer wraps it by name; it goes when a benchmark
+        change drops that binding.
         """
-        if token is None:
-            return
-        shared = self._shared_state(token, occupancy)
-        memo = shared["plans"]
-        todo: list[tuple[int, int]] = []
-        for shape in shapes:
-            if shape not in memo and shape not in todo:
-                todo.append(shape)
-        if not todo:
-            return
-        row_bits = self._token_row_bits(occupancy, shared)
-        free_area = sum(b.bit_count() for b in row_bits)
-        evict_shapes: list[tuple[int, int]] = []
-        for height, width in todo:
-            spot = first_fit_bits(row_bits, height, width)
-            if spot is not None:
-                memo[height, width] = RearrangementPlan(
-                    Rect(spot[0], spot[1], height, width)
-                )
-            elif free_area < height * width:
-                # No rearrangement can help when the free *area* is too
-                # small: defragmentation only consolidates, it cannot
-                # create sites.
-                memo[height, width] = None
-            else:
-                evict_shapes.append((height, width))
-        if not evict_shapes:
-            return
-        prints = self._token_prints(occupancy, shared)
-        evictions = self._eviction_batch(
-            occupancy, prints, row_bits, evict_shapes, shared
-        )
-        for height, width in evict_shapes:
-            memo[height, width] = self._assemble(
-                prints, row_bits, height, width, shared,
-                evictions.get((height, width)),
-            )
+        for height, width in shapes:
+            self.plan(occupancy, height, width, token=token)
 
     def _token_row_bits(self, occupancy: np.ndarray,
                         shared: dict | None) -> list[int]:
@@ -253,19 +184,8 @@ class DefragPlanner:
         eviction = self._eviction_plan(
             occupancy, prints, row_bits, height, width, shared
         )
-        return self._assemble(
-            prints, row_bits, height, width, shared, eviction
-        )
-
-    def _assemble(self, prints: dict[int, Rect], row_bits: list[int],
-                  height: int, width: int, shared: dict | None,
-                  eviction: RearrangementPlan | None,
-                  ) -> RearrangementPlan | None:
-        """Rank the compaction candidates against a ready eviction plan
-        (the tail of :meth:`plan`, shared by the batch path)."""
-        candidates: list[RearrangementPlan] = []
-        candidates.extend(
-            self._compaction_plans(prints, row_bits, height, width, shared)
+        candidates = self._compaction_plans(
+            prints, row_bits, height, width, shared
         )
         if eviction is not None:
             candidates.append(eviction)
@@ -355,10 +275,10 @@ class DefragPlanner:
                 if shared is not None:
                     shared["compaction"][toward] = (moves, compacted_bits)
             # A plan longer than ``max_moves`` is discarded by
-            # ``_assemble`` regardless of where the shape would land, so
-            # the first-fit probe is skipped outright — on saturated
-            # grids the compaction move lists routinely overshoot the
-            # cap and this avoids the probe entirely.
+            # :meth:`_plan_uncached` regardless of where the shape would
+            # land, so the first-fit probe is skipped outright — on
+            # saturated grids the compaction move lists routinely
+            # overshoot the cap and this avoids the probe entirely.
             if not moves or len(moves) > self.max_moves:
                 continue
             spot = first_fit_bits(compacted_bits, height, width)
@@ -525,118 +445,21 @@ class DefragPlanner:
         if height > rows or width > cols or not prints:
             return None
         state = self._evict_state(occupancy, prints, shared)
-        survivors = self._screened_windows(
-            occupancy, state, height, width, shared
-        )
-        if survivors is None:
+        win = self._eviction_windows(occupancy, state, height, width)
+        if win is None:
             return None
-        member, n_w, wr, wc = survivors
+        member, n_w, wr, wc = win
+        keep = self._screen_windows(
+            occupancy, state, member, wr, wc, height, width
+        )
+        if keep is not None:
+            if not keep.any():
+                return None
+            member, n_w, wr, wc = member[keep], n_w[keep], wr[keep], wc[keep]
         return self._eviction_select(
             occupancy, state, base_bits, member, n_w, wr, wc,
             height, width,
         )
-
-    def _screened_windows(
-        self, occupancy: np.ndarray, state: dict, height: int,
-        width: int, shared: dict | None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """One shape's screen survivors, memoised per planner token.
-
-        The keep-set is a pure function of (occupancy grid, shape) — the
-        token names the grid via the free-space generation, so within a
-        token the candidate windows and their screen verdicts are
-        computed once per shape and replayed on every later probe
-        (``screen_cache_hits`` counts the replays).
-        """
-        if shared is not None:
-            hit = shared["screens"].get((height, width), _MISS)
-            if hit is not _MISS:
-                PERF.screen_cache_hits += 1
-                return hit
-            PERF.screen_cache_misses += 1
-        win = self._eviction_windows(occupancy, state, height, width)
-        if win is None:
-            result = None
-        else:
-            member, n_w, wr, wc = win
-            keeps = self._screen_windows(
-                occupancy, state, [(member, wr, wc, height, width)],
-            )
-            if keeps is None:
-                result = win
-            elif not keeps[0].any():
-                result = None
-            else:
-                keep = keeps[0]
-                result = (
-                    member[keep], n_w[keep], wr[keep], wc[keep]
-                )
-        if shared is not None:
-            shared["screens"][height, width] = result
-        return result
-
-    def _eviction_batch(
-        self, occupancy: np.ndarray, prints: dict[int, Rect],
-        base_bits: list[int], shapes: list[tuple[int, int]],
-        shared: dict | None,
-    ) -> dict[tuple[int, int], RearrangementPlan | None]:
-        """:meth:`_eviction_plan` for many shapes, one screen pass.
-
-        Every shape's candidate windows are built as usual, then the
-        feasibility screen runs once over their concatenation — its
-        per-window verdicts do not depend on what other windows are in
-        the batch, so each shape's survivors (and hence its plan) are
-        identical to a per-shape call.
-        """
-        rows, cols = occupancy.shape
-        results: dict[tuple[int, int], RearrangementPlan | None] = {}
-        state = self._evict_state(occupancy, prints, shared)
-        screens = shared["screens"] if shared is not None else None
-        survivors: dict[tuple[int, int], tuple | None] = {}
-        groups: list[tuple] = []
-        wins: dict[tuple[int, int], tuple] = {}
-        for height, width in shapes:
-            if screens is not None:
-                hit = screens.get((height, width), _MISS)
-                if hit is not _MISS:
-                    PERF.screen_cache_hits += 1
-                    survivors[height, width] = hit
-                    continue
-                PERF.screen_cache_misses += 1
-            if height > rows or width > cols or not prints:
-                survivors[height, width] = None
-                continue
-            win = self._eviction_windows(occupancy, state, height, width)
-            if win is None:
-                survivors[height, width] = None
-                continue
-            wins[height, width] = win
-            groups.append((win[0], win[2], win[3], height, width))
-        if wins:
-            keeps = self._screen_windows(occupancy, state, groups)
-            for g, (height, width) in enumerate(wins):
-                member, n_w, wr, wc = wins[height, width]
-                if keeps is None:
-                    survivors[height, width] = (member, n_w, wr, wc)
-                elif not keeps[g].any():
-                    survivors[height, width] = None
-                else:
-                    keep = keeps[g]
-                    survivors[height, width] = (
-                        member[keep], n_w[keep], wr[keep], wc[keep]
-                    )
-        for (height, width), win in survivors.items():
-            if screens is not None and (height, width) not in screens:
-                screens[height, width] = win
-            if win is None:
-                results[height, width] = None
-                continue
-            member, n_w, wr, wc = win
-            results[height, width] = self._eviction_select(
-                occupancy, state, base_bits, member, n_w, wr, wc,
-                height, width,
-            )
-        return results
 
     def _eviction_select(
         self, occupancy: np.ndarray, state: dict, base_bits: list[int],
@@ -729,26 +552,28 @@ class DefragPlanner:
         self,
         occupancy: np.ndarray,
         state: dict,
-        groups: list[tuple],
-    ) -> list[np.ndarray] | None:
+        member: np.ndarray,
+        wr: np.ndarray,
+        wc: np.ndarray,
+        height: int,
+        width: int,
+    ) -> np.ndarray | None:
         """Which windows could possibly relocate *all* their blockers.
 
-        ``groups`` is a list of ``(member, wr, wc, height, width)``
-        window batches — one per probed shape — screened together.
-        Builds every candidate window's vacated grid as one row of
-        uint64 free-column masks (blockers lifted, its group's target
-        reserved) and, per distinct blocker shape, answers "does this
-        shape fit somewhere?" for all windows of all groups at once via
-        shifted-AND band reductions.  The vacated grid over-states the
-        free space at every placement step except the first (earlier
-        relocations only consume sites), so a shape with no spot here
-        has no spot in the real sequential attempt either — the filter
-        never drops a window the per-window eviction search could have
-        used.  Each window's verdict reads only its own row, so batching
-        groups changes nothing but the number of numpy dispatches.
-        Returns one boolean keep-mask per group, or ``None`` when the
-        device is too wide for the uint64 fast path (the caller then
-        evaluates every window sequentially).
+        ``member``/``wr``/``wc`` are one shape's candidate windows (see
+        :meth:`_eviction_windows`).  Builds every window's vacated grid
+        as one row of uint64 free-column masks (blockers lifted, the
+        ``height`` x ``width`` target reserved) and, per distinct
+        blocker shape, answers "does this shape fit somewhere?" for all
+        windows at once via shifted-AND band reductions.  The vacated
+        grid over-states the free space at every placement step except
+        the first (earlier relocations only consume sites), so a shape
+        with no spot here has no spot in the real sequential attempt
+        either — the filter never drops a window the per-window
+        eviction search could have used.  Returns a boolean keep-mask
+        over the windows, or ``None`` when the device is too wide for
+        the uint64 fast path (the caller then evaluates every window
+        sequentially).
 
         ``state`` carries the occupancy-only inputs
         (:meth:`_evict_state`): the packed free rows, per-blocker span
@@ -758,8 +583,6 @@ class DefragPlanner:
         rows, cols = occupancy.shape
         if cols > 64:
             return None
-        member = (groups[0][0] if len(groups) == 1
-                  else np.concatenate([g[0] for g in groups], axis=0))
         # Fold each window's member span masks in one matmul: footprints
         # are disjoint rectangles, so their masks never share a bit and
         # summing them IS their union; blocker sites are occupied, hence
@@ -774,19 +597,11 @@ class DefragPlanner:
         else:
             lifted = member.astype(np.uint64) @ state["blocker_rows"]
         bits = state["base64"][None, :] | lifted
-        # Reserve each group's target window (heights differ per group,
-        # so the span clearing is per-batch).
-        offset = 0
-        bounds: list[slice] = []
-        for gmember, wr, wc, height, width in groups:
-            n = gmember.shape[0]
-            tspan = np.uint64((1 << width) - 1) << wc.astype(np.uint64)
-            rowsel = wr[:, None] + np.arange(height)[None, :]
-            bits[np.arange(offset, offset + n)[:, None], rowsel] \
-                &= ~tspan[:, None]
-            bounds.append(slice(offset, offset + n))
-            offset += n
-        windows = offset
+        # Reserve each window's target.
+        windows = member.shape[0]
+        tspan = np.uint64((1 << width) - 1) << wc.astype(np.uint64)
+        rowsel = wr[:, None] + np.arange(height)[None, :]
+        bits[np.arange(windows)[:, None], rowsel] &= ~tspan[:, None]
         PERF.screen_calls += 1
         PERF.screen_windows += windows
         # One "does shape (h, w) fit anywhere?" bit per (shape, window).
@@ -800,9 +615,8 @@ class DefragPlanner:
         # (rows, windows), windows contiguous — so every slab the ops
         # touch is a contiguous block of whole rows.  The three
         # (rows, windows) scratch slabs are pooled per working-set shape
-        # across calls (:attr:`_screen_scratch`) — within one admission
-        # round the batch sizes repeat, so steady state allocates
-        # nothing.
+        # across calls (:attr:`_screen_scratch`) — window counts often
+        # repeat across probes, so many screens reuse a buffer.
         scratch = self._screen_scratch.pop((rows, windows), None)
         if scratch is None:
             bits_t = np.empty((rows, windows), dtype=np.uint64)
@@ -813,9 +627,9 @@ class DefragPlanner:
         np.copyto(bits_t, bits.T)
         uh, uw, inv = state["uh"], state["uw"], state["inv"]
         shapes = len(uh)
-        # Only shapes blocking some window of *this* batch gate a
-        # verdict; skipping the rest caps the band/anchor growth at the
-        # batch's largest active shape.  ``fits`` defaults to True so
+        # Only shapes blocking some candidate window gate a verdict;
+        # skipping the rest caps the band/anchor growth at the largest
+        # active shape.  ``fits`` defaults to True so
         # the skipped rows (never selected by a True member bit) stay
         # inert in the verdict gather below.
         active = sorted(set(inv[member.any(axis=0)].tolist()))
@@ -867,7 +681,7 @@ class DefragPlanner:
             # Window counts vary per round; don't hoard stale sizes.
             self._screen_scratch.clear()
         self._screen_scratch[rows, windows] = (bits_t, bbuf_pool, sbuf)
-        return [~bad[b] for b in bounds]
+        return ~bad
 
     def _evict_moves(
         self,

@@ -153,7 +153,7 @@ class LogicSpaceManager:
         self.policy = policy
         #: the placement heuristic, memoised per free-space generation —
         #: repeated probes against an unchanged fabric (one admission
-        #: pass asks about every waiting shape) are dictionary hits.
+        #: pass may ask about every waiting shape) are dictionary hits.
         self.fit = CachedFitter(fitter(fit))
         self.planner = planner or DefragPlanner()
         #: worst-case assumption about moved cells: gated-clock cells pay
@@ -301,56 +301,16 @@ class LogicSpaceManager:
         self.outcomes.append(outcome)
         return outcome
 
-    #: how deep into the failing run :meth:`prefetch_admission` resolves
-    #: rearrangement plans ahead of demand.  The caller passes the
-    #: admission pass's own candidate order, so prefetched plans are
-    #: normally all consumed by the pass; the cap bounds the speculation
-    #: in the rare case an early shape's *plan* succeeds (which admits
-    #: the item and invalidates everything after it).  Shapes past the
-    #: cap fall back to on-demand (still token-memoised) planning.
-    #: Sized to cover a rejection-heavy pass's whole distinct-shape set
-    #: (the batch screens all shapes in one vectorised pass, so depth
-    #: is nearly free when plans fail — and plans failing is exactly
-    #: when the deep batch gets consumed).
-    PLAN_PREFETCH_DEPTH = 32
-
     def prefetch_admission(self, shapes: list[tuple[int, int]]) -> None:
-        """Warm the fit and plan caches for one admission pass.
+        """Ask :attr:`fit` about each shape, discarding the answers.
 
-        ``shapes`` are the queue-eligible (height, width) requests in
-        discipline order.  All fit probes are answered against one read
-        of the MER set; rearrangement plans are then batch-resolved for
-        the leading run of shapes whose fit fails (capped at
-        :attr:`PLAN_PREFETCH_DEPTH`) — the first shape that *fits* will
-        be admitted, which mutates the fabric and bumps the generation,
-        so any plan prefetched past it would be computed against a grid
-        the pass never asks about again.  Purely a cache warmer: the
-        per-item :meth:`request` calls that follow return bit-identical
-        outcomes whether or not this ran.
+        Nothing in the package calls this.  It stays only because the
+        benchmark's tracer wraps it by name; it goes when a benchmark
+        change drops that binding.
         """
-        if not shapes:
-            return
-        index = self.free_space
-        generation = getattr(index, "generation", None)
-        if generation is None:
-            return  # no token naming the grid state: nothing to key on
-        occupancy = self.fabric.occupancy
-        self.fit.prefetch(occupancy, shapes, index)
-        if self.policy is RearrangePolicy.NONE \
-                or not self.defrag_policy.reactive:
-            return
-        failing: list[tuple[int, int]] = []
         for height, width in shapes:
-            if self.fit(occupancy, height, width, index=index) is not None:
-                break
-            if (height, width) not in failing:
-                failing.append((height, width))
-                if len(failing) >= self.PLAN_PREFETCH_DEPTH:
-                    break
-        if failing:
-            self.planner.plan_prefetch(
-                occupancy, failing, (index, generation)
-            )
+            self.fit(self.fabric.occupancy, height, width,
+                     index=self.free_space)
 
     def execute_plan(self, plan: RearrangementPlan) -> list[MoveExecution]:
         """Apply a rearrangement plan to the fabric, move by move."""

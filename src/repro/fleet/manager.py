@@ -69,10 +69,10 @@ class FleetManager:
             tuple[int, int, int], tuple[int, bool]
         ] = {}
         #: members declared dead by fault injection (see
-        #: :mod:`repro.faults`): :meth:`request` and
-        #: :meth:`prefetch_admission` never touch them, telemetry stops
-        #: weighting them, and the dominance certificate of a failed
-        #: request covers survivors only.  Empty outside fault runs.
+        #: :mod:`repro.faults`): :meth:`request` never touches them,
+        #: telemetry stops weighting them, and the dominance certificate
+        #: of a failed request covers survivors only.  Empty outside
+        #: fault runs.
         self.lost: set[int] = set()
 
     # -- fleet introspection -------------------------------------------------
@@ -118,8 +118,8 @@ class FleetManager:
         """Declare member ``index`` dead (fleet failover, see
         :mod:`repro.faults`).
 
-        From this instant the member receives no placements, warms no
-        caches and contributes nothing to fleet telemetry.  The caller
+        From this instant the member receives no placements and
+        contributes nothing to fleet telemetry.  The caller
         (the scheduler's failover path) is responsible for displacing
         the residents it was hosting — their owner-routing entries stay
         valid until each is individually released.  Idempotent.
@@ -195,23 +195,16 @@ class FleetManager:
         return outcome
 
     def prefetch_admission(self, shapes: list[tuple[int, int]]) -> None:
-        """Warm every member's fit/plan caches for one admission pass.
+        """Forward ``shapes`` to every surviving member's
+        :meth:`~repro.core.manager.LogicSpaceManager.prefetch_admission`.
 
-        Forwards the pass's candidate shapes to each member that
-        exposes the batched-probe hook
-        (:meth:`~repro.core.manager.LogicSpaceManager.prefetch_admission`),
-        so multi-device runs keep the same vectorised fast path a
-        single-device kernel enjoys.  Purely a cache warmer: the
-        per-member ``request`` calls that follow return bit-identical
-        outcomes with or without it — the selection policy still probes
-        members in its own preference order.
+        Nothing in the package calls this.  It stays only because the
+        benchmark's tracer wraps it by name; it goes when a benchmark
+        change drops that binding.
         """
         for index, member in enumerate(self.members):
-            if index in self.lost:
-                continue
-            prefetch = getattr(member, "prefetch_admission", None)
-            if prefetch is not None:
-                prefetch(shapes)
+            if index not in self.lost:
+                member.prefetch_admission(shapes)
 
     def adopt(self, owner: int, device: int, rect) -> None:
         """Re-register a resident placement on member ``device``.

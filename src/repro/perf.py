@@ -1,22 +1,24 @@
-"""Process-wide hot-path instrumentation: counters and timers.
+"""Process-wide hot-path work counters.
 
-The admission hot path is a stack of caches — the kernel's shape-level
-failure memos, the planner's per-generation screen cache, the fitter's
-per-generation answer cache, the fleet's per-member probe memo.  Each
-one is provably transparent (it may only skip work whose outcome is
-unchanged), which also makes each one invisible: a broken invalidation
-shows up as *wrong results* (pinned by the differential suites), but a
-broken *hit rate* shows up as nothing at all — the code silently does
-the full work again and only the wall clock knows.
+The admission hot path skips work through memos — the kernel's
+per-item and shape-level failure memos, the planner's per-generation
+plan memo, the fitter's per-generation answer cache, the fleet's
+per-member probe memo.  Each one is provably transparent (it may only
+skip work whose outcome is unchanged), which also makes each one
+invisible: a broken invalidation shows up as *wrong results* (pinned by
+the differential suites), but a broken *hit rate* shows up as nothing at
+all — the code silently does the full work again and only the wall
+clock knows.
 
-This module makes hit rates observable.  It keeps one process-global
+This module makes that work countable.  It keeps one process-global
 :class:`PerfCounters` instance (:data:`PERF`) that the hot paths bump
 with plain attribute increments — no locks, no dict lookups, no
 formatting — and that the performance harnesses sample per benchmark
 cell (``benchmarks/perf/bench_sched.py`` commits the numbers to
 ``BENCH_sched.json``) and the always-on service exports under
-``/stats``.  The next optimisation round then starts from committed
-counter evidence instead of ad-hoc profiling runs.
+``/stats``.  The counts are deterministic for a seeded run, so tests
+can pin them exactly (``tests/test_perf_counters.py``); per-layer wall
+time comes from an external tracer, not from this module.
 
 Counter semantics (all monotonically increasing since the last
 :meth:`~PerfCounters.reset`):
@@ -35,22 +37,17 @@ Counter semantics (all monotonically increasing since the last
     vectorised eviction screens actually run, and the total candidate
     windows they examined.
 ``screen_cache_hits`` / ``screen_cache_misses``
-    per-(generation, shape) eviction-screen keep-set cache outcomes.
+    always 0.  The planner no longer caches screen verdicts (its
+    per-generation plan memo already answers every repeated shape), but
+    the columns stay so committed benchmark payloads keep their layout.
 ``evict_moves_calls``
     sequential relocation searches (the work the screens gate).
 ``first_fit_scalar`` / ``first_fit_vector``
     packed first-fit probes answered by the scalar Python-int path
     and by the vectorised word-packed path.
-
-Timers are for the harnesses only (they cost a ``perf_counter`` call
-per edge): ``with PERF.timer("screen"): ...`` accumulates wall seconds
-into :attr:`PerfCounters.times`.
 """
 
 from __future__ import annotations
-
-import time
-from contextlib import contextmanager
 
 #: Counter attribute names, in reporting order.  Kept explicit (rather
 #: than introspected) so the snapshot layout is stable for the
@@ -74,44 +71,29 @@ COUNTER_NAMES = (
 class PerfCounters:
     """A bundle of hot-path counters with snapshot/reset semantics."""
 
-    __slots__ = COUNTER_NAMES + ("times",)
+    __slots__ = COUNTER_NAMES
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        """Zero every counter and drop accumulated timer seconds."""
+        """Zero every counter."""
         for name in COUNTER_NAMES:
             setattr(self, name, 0)
-        self.times: dict[str, float] = {}
 
     def snapshot(self) -> dict:
-        """Current counter values (and timers, when any ran) as a dict.
+        """Current counter values as a dict.
 
         Every counter is reported — including zeros — so committed
         benchmark payloads keep a stable column set across runs.
         """
-        out: dict = {name: getattr(self, name) for name in COUNTER_NAMES}
-        if self.times:
-            out["times"] = dict(sorted(self.times.items()))
-        return out
+        return {name: getattr(self, name) for name in COUNTER_NAMES}
 
     def collect(self) -> dict:
         """Snapshot, then reset — one benchmark cell's worth of counts."""
         out = self.snapshot()
         self.reset()
         return out
-
-    @contextmanager
-    def timer(self, name: str):
-        """Accumulate the wall time of the ``with`` body under ``name``."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.times[name] = (
-                self.times.get(name, 0.0) + time.perf_counter() - started
-            )
 
 
 #: The process-global counter bundle the hot paths increment.

@@ -446,28 +446,23 @@ class SchedulingKernel:
         releases must call it so blocked passes are retried)."""
         self._space_version += 1
 
-    def _shape_blocked(self, height: int, width: int,
-                       count: bool = True) -> bool:
+    def _shape_blocked(self, height: int, width: int) -> bool:
         """Whether the shape memos prove this footprint cannot place.
 
         True when the exact shape already failed at the current space
         version, or when some *certified* failure of an equal-or-smaller
         footprint dominates it.  Both memos key on the space version, so
-        any occupancy change re-opens every shape.  ``count=False``
-        keeps advisory checks (the prefetch scan) out of the skip
-        counters, which tally skipped *probes* only.
+        any occupancy change re-opens every shape.
         """
         if self._shape_failed_at.get((height, width)) \
                 == self._space_version:
-            if count:
-                PERF.shape_memo_skips += 1
+            PERF.shape_memo_skips += 1
             return True
         version, shapes = self._dominant_shapes
         if version == self._space_version:
             for failed_height, failed_width in shapes:
                 if failed_height <= height and failed_width <= width:
-                    if count:
-                        PERF.dominance_skips += 1
+                    PERF.dominance_skips += 1
                     return True
         return False
 
@@ -482,45 +477,6 @@ class SchedulingKernel:
             self._dominant_shapes = (self._space_version, [(height, width)])
         else:
             shapes.append((height, width))
-
-    def _prefetch(self) -> None:
-        """Warm the manager's fit/plan caches for the coming pass.
-
-        Purely an optimisation: the per-item ``manager.request`` calls
-        in :meth:`drain` return bit-identical outcomes with or without
-        it.  The shapes handed over are exactly this pass's candidate
-        set — the discipline's ``scan`` order, which the loop below is
-        about to probe one ``request`` at a time — so the manager can
-        resolve the whole batch against one read of the free-space
-        state instead of one probe per item (the multi-candidate
-        disciplines, backfill above all, put many items through one
-        pass).  ``scan`` only purges tombstones, so iterating it here
-        and again below yields the same items.  Items already
-        failure-memoed at this space version are skipped (their answers
-        are cached).  A fleet manager forwards the batch to every
-        member that exposes the hook (see
-        :meth:`repro.fleet.manager.FleetManager.prefetch_admission`),
-        so multi-device runs keep the batched-probe fast path.
-        """
-        prefetch = getattr(self.manager, "prefetch_admission", None)
-        if prefetch is None:
-            return
-        shapes: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for item in self.queue.scan(self.events.now):
-            if self._item_failed_at.get(
-                    self._token(item)) == self._space_version:
-                continue
-            shape = (item.height, item.width)
-            if shape not in seen:
-                seen.add(shape)
-                # Shapes the memos already doom are never probed below,
-                # so warming their caches (and running their eviction
-                # screens) would be pure waste.
-                if not self._shape_blocked(*shape, count=False):
-                    shapes.append(shape)
-        if shapes:
-            prefetch(shapes)
 
     def drain(self) -> None:
         """Place waiting items in discipline order until blocked.
@@ -546,7 +502,6 @@ class SchedulingKernel:
         while len(self.queue):
             if self._failed_at_version == self._space_version:
                 return  # nothing changed since the last blocked pass
-            self._prefetch()
             placed = False
             for item in self.queue.scan(self.events.now):
                 token = self._token(item)

@@ -15,8 +15,10 @@ Two workload shapes appear in the paper:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral, Real
 
 from repro.device.geometry import Rect
 
@@ -40,9 +42,43 @@ class TaskState(Enum):
     DROPPED = "dropped"
 
 
+def check_task_fields(height, width, exec_seconds, arrival,
+                      max_wait=None) -> None:
+    """Refuse task fields no simulation can honour (``ValueError``).
+
+    ``height`` and ``width`` must be positive integers (numpy integers
+    included, ``bool`` refused); ``exec_seconds`` and ``arrival`` finite
+    numbers >= 0; ``max_wait`` ``None`` or a finite number >= 0.  One
+    rule set for every entry point — :class:`Task` construction,
+    workloads, NDJSON traces, checkpoint restore and the service's
+    ``submit``, which calls this before spending an admission token.
+    """
+    for name, value in (("height", height), ("width", width)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(
+                f"{name} must be a positive integer, got {value!r}"
+            )
+        if value < 1:
+            raise ValueError(f"non-positive shape: {name} is {value}")
+    times = [("exec_seconds", exec_seconds), ("arrival", arrival)]
+    if max_wait is not None:
+        times.append(("max_wait", max_wait))
+    for name, value in times:
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value < 0:
+            raise ValueError(f"negative time: {name} is {value}")
+
+
 @dataclass(slots=True)
 class Task:
-    """One independent task instance."""
+    """One independent task instance.
+
+    Construction validates the request fields (:func:`check_task_fields`),
+    so a task that exists can always be placed, timed and finished.
+    """
 
     task_id: int
     height: int
@@ -66,6 +102,11 @@ class Task:
     started_at: float | None = None
     finished_at: float | None = None
     halted_seconds: float = 0.0
+
+    def __post_init__(self) -> None:
+        """Validate the request fields (see :func:`check_task_fields`)."""
+        check_task_fields(self.height, self.width, self.exec_seconds,
+                          self.arrival, self.max_wait)
 
     @property
     def area(self) -> int:

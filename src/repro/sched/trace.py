@@ -68,9 +68,10 @@ def format_trace(tasks: Iterable[Task]) -> str:
 def parse_trace(text: str) -> list[Task]:
     """Parse NDJSON trace text into tasks (ids assigned in file order).
 
-    Unknown QoS names and malformed shapes raise ``ValueError`` with
-    the offending line number, so a bad trace fails loudly before the
-    simulation starts.
+    Unknown QoS names, missing fields and values the task rules refuse
+    (:func:`~repro.sched.tasks.check_task_fields`) raise ``ValueError``
+    with the offending line number, so a bad trace fails loudly before
+    the simulation starts.
     """
     tasks: list[Task] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -82,30 +83,32 @@ def parse_trace(text: str) -> list[Task]:
         except json.JSONDecodeError as exc:
             raise ValueError(f"trace line {lineno}: invalid JSON "
                              f"({exc})") from None
+        if not isinstance(row, dict):
+            raise ValueError(f"trace line {lineno}: not a JSON object")
         qos = row.get("qos", "best-effort")
-        if qos not in QOS_PRIORITY:
+        if not isinstance(qos, str) or qos not in QOS_PRIORITY:
             raise ValueError(
                 f"trace line {lineno}: unknown qos {qos!r} "
                 f"(choose from {', '.join(QOS_PRIORITY)})"
             )
-        height, width = int(row["height"]), int(row["width"])
-        if height < 1 or width < 1:
-            raise ValueError(f"trace line {lineno}: non-positive shape")
-        at = float(row["at"])
-        duration = float(row["duration"])
-        if at < 0 or duration < 0:
-            raise ValueError(f"trace line {lineno}: negative time")
         max_wait = row.get("max_wait")
-        tasks.append(Task(
-            task_id=len(tasks) + 1,
-            height=height,
-            width=width,
-            exec_seconds=duration,
-            arrival=at,
-            max_wait=float(max_wait) if max_wait is not None else None,
-            priority=QOS_PRIORITY[qos],
-            tenant=str(row.get("tenant", "")),
-        ))
+        try:
+            tasks.append(Task(
+                task_id=len(tasks) + 1,
+                height=row["height"],
+                width=row["width"],
+                exec_seconds=float(row["duration"]),
+                arrival=float(row["at"]),
+                max_wait=float(max_wait) if max_wait is not None else None,
+                priority=QOS_PRIORITY[qos],
+                tenant=str(row.get("tenant", "")),
+            ))
+        except KeyError as exc:
+            raise ValueError(
+                f"trace line {lineno}: missing field {exc}"
+            ) from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"trace line {lineno}: {exc}") from None
     return tasks
 
 

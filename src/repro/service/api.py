@@ -16,7 +16,8 @@ GET       /healthz                liveness + clock + task counts
 GET       /qos                    the QoS class registry
 POST      /tasks                  submit (``{height, width, exec_seconds,
                                   tenant?, qos?, max_wait?, at?}``); 202 on
-                                  admit, **429 + Retry-After** on throttle
+                                  admit, **429 + Retry-After** on throttle,
+                                  400 on fields no task may carry
 GET       /tasks                  task views (``?state=``, ``?limit=``)
 GET       /tasks/{id}             one task's view (404 unknown)
 DELETE    /tasks/{id}             cancel (409 already terminal)
@@ -247,7 +248,7 @@ class ServiceAPI:
         """POST /tasks: one submission through the admission door."""
         try:
             view = self.service.submit(
-                int(body["height"]), int(body["width"]),
+                body["height"], body["width"],
                 float(body["exec_seconds"]),
                 tenant=str(body.get("tenant", "default")),
                 qos=str(body.get("qos", "best-effort")),

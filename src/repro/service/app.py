@@ -46,7 +46,7 @@ from repro.device.fabric import Fabric
 from repro.fleet.manager import FleetManager
 from repro.perf import PERF
 from repro.sched.scheduler import OnlineTaskScheduler
-from repro.sched.tasks import Task, TaskState
+from repro.sched.tasks import Task, TaskState, check_task_fields
 
 from .admission import DEFAULT_MAX_QUEUE_DEPTH, AdmissionController
 from .qos import get_qos
@@ -366,7 +366,14 @@ class ReproService:
         ``admitted: False`` plus ``retry_after``/``reason`` (the HTTP
         layer turns it into a 429).  Admitted submissions return the
         task's status view (``admitted: True``).
+
+        Fields no task may carry (see
+        :func:`~repro.sched.tasks.check_task_fields`) raise
+        ``ValueError`` before the clock moves or the door spends a
+        token, so a refused body changes no state.
         """
+        check_task_fields(height, width, exec_seconds,
+                          self.now if at is None else at, max_wait)
         if at is not None:
             self.advance(at)
         decision = self.door.admit(tenant, qos, self.now,

@@ -280,49 +280,6 @@ def test_heterogeneous_scenario_runs_end_to_end():
     assert run_scenario(spec) == result
 
 
-# -- admission prefetch across the fleet seam -------------------------------
-
-
-def surge_metrics(fleet: FleetManager, queue: str = "backfill"):
-    """Run the seeded surge through a fleet; returns the metrics."""
-    tasks = fleet_surge_tasks(40, seed=7, size_range=(3, 7))
-    return OnlineTaskScheduler(fleet, queue=queue).run(tasks)
-
-
-def test_fleet_prefetch_reaches_every_member():
-    """The kernel's batched admission probe must warm *every* member's
-    caches — losing the fast path the moment a second device joined
-    was the bug this section pins."""
-    fleet = fleet_of(2, policy="least-loaded")
-    counts = [0, 0]
-
-    def counting(index, member):
-        original = member.prefetch_admission
-
-        def wrapped(shapes):
-            counts[index] += 1
-            return original(shapes)
-
-        return wrapped
-
-    for index, member in enumerate(fleet.members):
-        member.prefetch_admission = counting(index, member)
-    surge_metrics(fleet)
-    assert all(count > 0 for count in counts), counts
-
-
-def test_fleet_prefetch_is_bitwise_neutral():
-    """Prefetching is a cache warmer: a fleet run with the hook
-    disabled produces bit-identical metrics (the same guarantee the
-    single-device kernel documents)."""
-    for policy in ("first-fit", "least-loaded"):
-        warm = surge_metrics(fleet_of(2, policy=policy))
-        cold_fleet = fleet_of(2, policy=policy)
-        cold_fleet.prefetch_admission = None  # kernel skips the hook
-        cold = surge_metrics(cold_fleet)
-        assert cold == warm
-
-
 # -- kernel telemetry across the fleet seam ---------------------------------
 
 

@@ -86,12 +86,12 @@ def test_shape_memo_never_outlives_a_generation_bump():
     manager = LogicSpaceManager(Fabric(device("XC2S15")))
     kernel = OnlineTaskScheduler(manager).kernel
     kernel._note_shape_failed(3, 3, dominant=True)
-    assert kernel._shape_blocked(3, 3, count=False)
+    assert kernel._shape_blocked(3, 3)
     # dominance: an equal-or-larger footprint is blocked too
-    assert kernel._shape_blocked(4, 5, count=False)
+    assert kernel._shape_blocked(4, 5)
     kernel.note_space_changed()
-    assert not kernel._shape_blocked(3, 3, count=False)
-    assert not kernel._shape_blocked(4, 5, count=False)
+    assert not kernel._shape_blocked(3, 3)
+    assert not kernel._shape_blocked(4, 5)
 
 
 def test_every_memo_skip_is_backed_by_a_real_failure():
@@ -105,8 +105,8 @@ def test_every_memo_skip_is_backed_by_a_real_failure():
     original = kernel._shape_blocked
     verified = [0]
 
-    def checked(height: int, width: int, count: bool = True) -> bool:
-        blocked = original(height, width, count=count)
+    def checked(height: int, width: int) -> bool:
+        blocked = original(height, width)
         if blocked:
             outcome = manager.request(height, width, owner=10_000_000)
             assert not outcome.success, (
