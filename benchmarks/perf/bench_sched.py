@@ -17,10 +17,13 @@ afford.  Three layers of evidence:
   (queue discipline x port model) cell, wall clock plus the kernel's
   processed-event counter, i.e. end-to-end events per second.  Each
   cell also samples the :data:`repro.perf.PERF` hot-path counters
-  (probes issued, memo skips, screen cache hits/misses, first-fit path
-  split), so the committed JSON shows *why* a cell is fast, not just
-  how fast — the next optimisation round starts from committed hit
-  rates instead of ad-hoc profiling.
+  (probes issued, memo and dominance skips, eviction screens and
+  relocation searches, first-fit probes), so the committed JSON shows
+  *why* a cell is fast, not just how fast — the next optimisation round
+  starts from committed hit rates instead of ad-hoc profiling.  The
+  ``screen_cache_*`` and ``first_fit_vector`` columns always read 0
+  now (their caches and paths were deleted); they stay so the payload
+  layout matches the committed file.
 
 Run from the repo root:
 

@@ -90,16 +90,10 @@ class DefragPlanner:
         #: disturb more functions than a reactive plan is allowed to.
         self.max_consolidation_moves = max_consolidation_moves
         #: per-occupancy-generation shared state (see :meth:`plan`):
-        #: packed rows, footprints, compaction results and finished
-        #: plans, all pure functions of the grid named by the token.
+        #: packed rows, footprints, compaction sweeps and eviction
+        #: arrays, all pure functions of the grid named by the token.
         self._cache_token: object = None
-        self._shared: dict | None = None
-        #: pooled scratch arrays for the vectorised screen, keyed by the
-        #: (rows, windows) working-set shape.  ``pop``/reinsert keeps
-        #: concurrent callers from sharing a buffer.
-        self._screen_scratch: dict[
-            tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
+        self._shared: dict = {}
 
     def plan(self, occupancy: np.ndarray, height: int, width: int,
              token: object = None) -> RearrangementPlan | None:
@@ -112,67 +106,15 @@ class DefragPlanner:
         free-space engine's generation counter qualifies: it bumps on
         every effective mutation).  Calls sharing a token reuse the
         shape-independent work — row packing, footprints, both
-        compaction sweeps — and identical (token, height, width) calls
-        return the memoised plan outright; an admission pass probing a
-        whole queue against one unchanged fabric then pays for one
-        planner run per distinct shape.  Without a token every call
-        computes from scratch.
+        compaction sweeps and the eviction arrays — so an admission
+        pass probing several shapes against one unchanged fabric packs
+        the grid once.  Without a token every call computes from
+        scratch.
         """
         shared = self._shared_state(token)
-        if shared is not None and (height, width) in shared["plans"]:
-            return shared["plans"][height, width]
-        result = self._plan_uncached(occupancy, height, width, shared)
-        if shared is not None:
-            shared["plans"][height, width] = result
-        return result
-
-    def _shared_state(self, token: object) -> dict | None:
-        """The per-token scratch dict (fresh when the token moved)."""
-        if token is None:
-            return None
-        if self._cache_token != token:
-            self._cache_token = token
-            self._shared = {"plans": {}, "compaction": {}}
-        return self._shared
-
-    def plan_prefetch(self, occupancy: np.ndarray,
-                      shapes: list[tuple[int, int]],
-                      token: object) -> None:
-        """:meth:`plan` for each shape, discarding the answers.
-
-        Nothing in the package calls this.  It stays only because the
-        benchmark's tracer wraps it by name; it goes when a benchmark
-        change drops that binding.
-        """
-        for height, width in shapes:
-            self.plan(occupancy, height, width, token=token)
-
-    def _token_row_bits(self, occupancy: np.ndarray,
-                        shared: dict | None) -> list[int]:
-        """Packed free-row bitmasks, shared within a token."""
-        if shared is not None and "row_bits" in shared:
-            return shared["row_bits"]
-        row_bits = pack_free_rows(occupancy)
-        if shared is not None:
-            shared["row_bits"] = row_bits
-        return row_bits
-
-    def _token_prints(self, occupancy: np.ndarray,
-                      shared: dict | None) -> dict[int, Rect]:
-        """Resident footprints, shared within a token."""
-        if shared is not None and "prints" in shared:
-            return shared["prints"]
-        prints = footprints(occupancy)
-        if shared is not None:
-            shared["prints"] = prints
-        return prints
-
-    def _plan_uncached(self, occupancy: np.ndarray, height: int,
-                       width: int,
-                       shared: dict | None) -> RearrangementPlan | None:
-        """:meth:`plan` body, with the shape-independent pieces read
-        from (and published to) ``shared`` when a token is active."""
-        row_bits = self._token_row_bits(occupancy, shared)
+        if "row_bits" not in shared:
+            shared["row_bits"] = pack_free_rows(occupancy)
+        row_bits = shared["row_bits"]
         spot = first_fit_bits(row_bits, height, width)
         if spot is not None:
             return RearrangementPlan(Rect(spot[0], spot[1], height, width))
@@ -180,7 +122,9 @@ class DefragPlanner:
         # defragmentation only consolidates, it cannot create sites.
         if sum(b.bit_count() for b in row_bits) < height * width:
             return None
-        prints = self._token_prints(occupancy, shared)
+        if "prints" not in shared:
+            shared["prints"] = footprints(occupancy)
+        prints = shared["prints"]
         eviction = self._eviction_plan(
             occupancy, prints, row_bits, height, width, shared
         )
@@ -202,6 +146,28 @@ class DefragPlanner:
                 sum(m.distance for m in p.moves),
             ),
         )
+
+    def _shared_state(self, token: object) -> dict:
+        """The per-token scratch dict: fresh when the token moved, and a
+        throwaway one when there is no token."""
+        if token is None:
+            return {}
+        if self._cache_token != token:
+            self._cache_token = token
+            self._shared = {}
+        return self._shared
+
+    def plan_prefetch(self, occupancy: np.ndarray,
+                      shapes: list[tuple[int, int]],
+                      token: object) -> None:
+        """:meth:`plan` for each shape, discarding the answers.
+
+        Nothing in the package calls this.  It stays only because the
+        benchmark's tracer wraps it by name; it goes when a benchmark
+        change drops that binding.
+        """
+        for height, width in shapes:
+            self.plan(occupancy, height, width, token=token)
 
     def plan_consolidation(
         self, occupancy: np.ndarray
@@ -259,23 +225,18 @@ class DefragPlanner:
 
     def _compaction_plans(self, prints: dict[int, Rect],
                           row_bits: list[int], height: int, width: int,
-                          shared: dict | None = None,
-                          ) -> list[RearrangementPlan]:
+                          shared: dict) -> list[RearrangementPlan]:
         plans: list[RearrangementPlan] = []
+        sweeps = shared.setdefault("compaction", {})
         for toward in ("left", "top"):
             # The sweep is shape-independent: within one token both
             # directions are computed once and every probed shape reads
             # the (moves, compacted bitmask) pair from the shared state.
-            if shared is not None and toward in shared["compaction"]:
-                moves, compacted_bits = shared["compaction"][toward]
-            else:
-                moves, compacted_bits = compaction_moves(
-                    prints, row_bits, toward
-                )
-                if shared is not None:
-                    shared["compaction"][toward] = (moves, compacted_bits)
+            if toward not in sweeps:
+                sweeps[toward] = compaction_moves(prints, row_bits, toward)
+            moves, compacted_bits = sweeps[toward]
             # A plan longer than ``max_moves`` is discarded by
-            # :meth:`_plan_uncached` regardless of where the shape would
+            # :meth:`plan` regardless of where the shape would
             # land, so the first-fit probe is skipped outright — on
             # saturated grids the compaction move lists routinely
             # overshoot the cap and this avoids the probe entirely.
@@ -293,7 +254,7 @@ class DefragPlanner:
 
     @staticmethod
     def _evict_state(occupancy: np.ndarray, prints: dict[int, Rect],
-                     shared: dict | None) -> dict:
+                     shared: dict) -> dict:
         """Shape-independent arrays the eviction scan reads per call.
 
         Everything here is a pure function of the occupancy grid (the
@@ -302,7 +263,7 @@ class DefragPlanner:
         shapes), so within one planner token the whole bundle is built
         once and every probed shape reuses it.
         """
-        if shared is not None and "evict" in shared:
+        if "evict" in shared:
             return shared["evict"]
         print_items = list(prints.items())
         count = len(print_items)
@@ -357,8 +318,7 @@ class DefragPlanner:
             onehot = np.zeros((count, len(uniq_key)), dtype=np.int64)
             onehot[np.arange(count), inv] = 1
             state["shape_onehot"] = onehot
-        if shared is not None:
-            shared["evict"] = state
+        shared["evict"] = state
         return state
 
     def _eviction_windows(
@@ -424,8 +384,7 @@ class DefragPlanner:
     def _eviction_plan(self, occupancy: np.ndarray,
                        prints: dict[int, Rect], base_bits: list[int],
                        height: int, width: int,
-                       shared: dict | None = None,
-                       ) -> RearrangementPlan | None:
+                       shared: dict) -> RearrangementPlan | None:
         """Try target windows anchored at 'corner points' (edges of the
         device and of resident footprints); relocate exactly the
         overlapping functions into remaining free space.
@@ -613,18 +572,9 @@ class DefragPlanner:
         # two extra ops here and gate nothing below (their member
         # columns are all False).  The reductions run transposed —
         # (rows, windows), windows contiguous — so every slab the ops
-        # touch is a contiguous block of whole rows.  The three
-        # (rows, windows) scratch slabs are pooled per working-set shape
-        # across calls (:attr:`_screen_scratch`) — window counts often
-        # repeat across probes, so many screens reuse a buffer.
-        scratch = self._screen_scratch.pop((rows, windows), None)
-        if scratch is None:
-            bits_t = np.empty((rows, windows), dtype=np.uint64)
-            bbuf_pool = np.empty_like(bits_t)
-            sbuf = np.empty_like(bits_t)
-        else:
-            bits_t, bbuf_pool, sbuf = scratch
-        np.copyto(bits_t, bits.T)
+        # touch is a contiguous block of whole rows.
+        bits_t = bits.T.copy()
+        sbuf = np.empty_like(bits_t)
         uh, uw, inv = state["uh"], state["uw"], state["inv"]
         shapes = len(uh)
         # Only shapes blocking some candidate window gate a verdict;
@@ -645,7 +595,7 @@ class DefragPlanner:
             while covered_h < bh:
                 n = rows - covered_h
                 if bbuf is None:
-                    bbuf = bbuf_pool
+                    bbuf = np.empty_like(bits_t)
                     np.bitwise_and(bits_t[:n], bits_t[covered_h:],
                                    out=bbuf[:n])
                     band = bbuf
@@ -677,10 +627,6 @@ class DefragPlanner:
         # A window survives unless it contains a blocker whose shape has
         # no relocation spot at all.
         bad = (member & ~fits[inv].T).any(axis=1)
-        if len(self._screen_scratch) >= 8:
-            # Window counts vary per round; don't hoard stale sizes.
-            self._screen_scratch.clear()
-        self._screen_scratch[rows, windows] = (bits_t, bbuf_pool, sbuf)
         return ~bad
 
     def _evict_moves(

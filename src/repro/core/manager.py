@@ -30,7 +30,7 @@ from repro.device.clb import CellMode
 from repro.device.fabric import Fabric
 from repro.device.geometry import Rect
 from repro.placement.compaction import Move
-from repro.placement.fit import CachedFitter, fitter
+from repro.placement.fit import fitter
 from repro.placement import metrics
 
 from .cost import CostModel
@@ -151,10 +151,9 @@ class LogicSpaceManager:
         self.fabric = fabric
         self.cost = cost_model or CostModel(fabric.device)
         self.policy = policy
-        #: the placement heuristic, memoised per free-space generation —
-        #: repeated probes against an unchanged fabric (one admission
-        #: pass may ask about every waiting shape) are dictionary hits.
-        self.fit = CachedFitter(fitter(fit))
+        #: the placement heuristic, one of
+        #: :data:`repro.placement.fit.FIT_ALGORITHMS`.
+        self.fit = fitter(fit)
         self.planner = planner or DefragPlanner()
         #: worst-case assumption about moved cells: gated-clock cells pay
         #: the full Fig. 4 flow; pass FF_FREE_CLOCK for lighter payloads.
@@ -164,8 +163,6 @@ class LogicSpaceManager:
             make_defrag_policy(defrag_policy)
             if isinstance(defrag_policy, str) else defrag_policy
         )
-        self.outcomes: list[PlacementOutcome] = []
-        self.defrag_outcomes: list[DefragOutcome] = []
         self._move_cost_cache: dict[tuple[int, int], float] = {}
         self._config_cost_cache: dict[int, float] = {}
 
@@ -254,27 +251,18 @@ class LogicSpaceManager:
                         index=self.free_space)
         if rect is not None:
             self.fabric.allocate_region(rect, owner)
-            outcome = PlacementOutcome(
+            return PlacementOutcome(
                 True, owner, rect, config_seconds=self.config_seconds(rect)
             )
-            self.outcomes.append(outcome)
-            return outcome
         if self.policy is RearrangePolicy.NONE \
                 or not self.defrag_policy.reactive:
             # Fit-only failure is monotone in the footprint: any larger
             # window would contain the missing smaller one.
-            outcome = PlacementOutcome(False, owner, dominant=True)
-            self.outcomes.append(outcome)
-            return outcome
+            return PlacementOutcome(False, owner, dominant=True)
         # The token names the current occupancy content (see
         # DefragPlanner.plan): probes repeated against an unchanged
-        # fabric reuse the planner's per-generation work and memoised
-        # answers.  Successful plans are executed immediately, which
-        # bumps the generation — so a memoised *plan* is only ever
-        # re-served for requests the fabric still cannot host.
-        generation = getattr(self.free_space, "generation", None)
-        token = (None if generation is None
-                 else (self.free_space, generation))
+        # fabric reuse the planner's shape-independent work.
+        token = (self.free_space, self.free_space.generation)
         plan = self.planner.plan(
             self.fabric.occupancy, height, width, token=token
         )
@@ -282,15 +270,13 @@ class LogicSpaceManager:
             # The failure is dominant only on a free-area shortfall
             # (larger shapes need even more area); a rearrangement
             # *search* failure proves nothing about other shapes.
-            outcome = PlacementOutcome(
+            return PlacementOutcome(
                 False, owner,
                 dominant=self.free_space.free_area() < height * width,
             )
-            self.outcomes.append(outcome)
-            return outcome
         executions = self.execute_plan(plan)
         self.fabric.allocate_region(plan.target, owner)
-        outcome = PlacementOutcome(
+        return PlacementOutcome(
             True,
             owner,
             plan.target,
@@ -298,8 +284,6 @@ class LogicSpaceManager:
             config_seconds=self.config_seconds(plan.target),
             method=plan.method,
         )
-        self.outcomes.append(outcome)
-        return outcome
 
     def prefetch_admission(self, shapes: list[tuple[int, int]]) -> None:
         """Ask :attr:`fit` about each shape, discarding the answers.
@@ -364,14 +348,12 @@ class LogicSpaceManager:
         before = self.free_space.largest_free_area()
         executions = self.execute_plan(plan)
         after = self.free_space.largest_free_area()
-        outcome = DefragOutcome(
+        return DefragOutcome(
             moves=executions,
             method=plan.method,
             largest_before=before,
             largest_after=after,
         )
-        self.defrag_outcomes.append(outcome)
-        return outcome
 
     def release(self, owner: int) -> None:
         """Free a finished function's footprint."""

@@ -160,10 +160,9 @@ class FleetManager:
             if index in self.lost:
                 continue
             member = self.members[index]
-            generation = getattr(member.free_space, "generation", None)
+            generation = member.free_space.generation
             memo = self._member_shape_failed.get((index, height, width))
-            if memo is not None and generation is not None \
-                    and generation == memo[0]:
+            if memo is not None and generation == memo[0]:
                 PERF.fleet_member_skips += 1
                 dominant = dominant and memo[1]
                 covered.add(index)
@@ -180,10 +179,9 @@ class FleetManager:
                 return outcome
             dominant = dominant and outcome.dominant
             covered.add(index)
-            if generation is not None:
-                self._member_shape_failed[index, height, width] = (
-                    generation, outcome.dominant
-                )
+            self._member_shape_failed[index, height, width] = (
+                generation, outcome.dominant
+            )
         if outcome is None:
             # Every member is lost (or the fleet is empty of survivors):
             # nothing was probed, so the failure is trivially dominant —

@@ -1,9 +1,8 @@
 """Process-wide hot-path work counters.
 
 The admission hot path skips work through memos — the kernel's
-per-item and shape-level failure memos, the planner's per-generation
-plan memo, the fitter's per-generation answer cache, the fleet's
-per-member probe memo.  Each one is provably transparent (it may only
+per-item and shape-level failure memos, the fleet's per-member probe
+memo, the planner's per-generation shape-independent state.  Each one is provably transparent (it may only
 skip work whose outcome is unchanged), which also makes each one
 invisible: a broken invalidation shows up as *wrong results* (pinned by
 the differential suites), but a broken *hit rate* shows up as nothing at
@@ -37,14 +36,20 @@ Counter semantics (all monotonically increasing since the last
     vectorised eviction screens actually run, and the total candidate
     windows they examined.
 ``screen_cache_hits`` / ``screen_cache_misses``
-    always 0.  The planner no longer caches screen verdicts (its
-    per-generation plan memo already answers every repeated shape), but
-    the columns stay so committed benchmark payloads keep their layout.
+    always 0.  The planner no longer caches screen verdicts: the
+    kernel and fleet memos already stop a failed shape from being
+    re-probed against the same grid, so a verdict cache could never
+    hit.  The columns stay so committed benchmark payloads keep their
+    layout.
 ``evict_moves_calls``
     sequential relocation searches (the work the screens gate).
-``first_fit_scalar`` / ``first_fit_vector``
-    packed first-fit probes answered by the scalar Python-int path
-    and by the vectorised word-packed path.
+``first_fit_scalar``
+    packed first-fit probes (:func:`repro.placement.bitgrid.first_fit_bits`)
+    that reached the row scan.
+``first_fit_vector``
+    always 0.  The vectorised word-packed first-fit it counted only
+    served grids of 4,096 sites or more, never ran, and was deleted;
+    the column stays so committed benchmark payloads keep their layout.
 """
 
 from __future__ import annotations

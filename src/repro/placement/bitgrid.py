@@ -24,22 +24,6 @@ import numpy as np
 
 from repro.perf import PERF
 
-#: Grid size (rows x columns) below which :func:`first_fit_bits` keeps
-#: its scalar Python-int path.  Small grids collapse to one machine word
-#: per row, where shift-and-AND on native ints beats numpy's per-call
-#: dispatch overhead by a wide margin; the word-packed vector path only
-#: pays off once rows x columns outgrows this.
-SMALL_SET = 4096
-
-#: Reusable (band, shift) scratch pairs for the vector path, keyed by
-#: ``(rows, words)``.  ``pop``/reinsert keeps concurrent callers safe:
-#: two threads can never check out the same buffers, the loser just
-#: allocates a fresh pair.
-_SCRATCH: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-_WORD = 64
-_WORD_MASK = (1 << _WORD) - 1
-
 
 def pack_free_rows(occupancy: np.ndarray) -> list[int]:
     """Per-row free-column bitmasks of a grid (bit c set = column c free)."""
@@ -78,26 +62,16 @@ def first_fit_bits(row_bits: list[int], height: int,
 
     Matches :func:`repro.placement.fit.first_fit`'s grid path exactly:
     the topmost row holding any feasible anchor wins, leftmost column
-    within it.  Returns ``(row, col)`` or ``None``.
-
-    Grids under :data:`SMALL_SET` bits run the scalar per-row loop;
-    larger grids are packed into uint64 word rows and answered by
-    vectorised sliding-window AND-reductions (:func:`_first_fit_words`),
-    which the differential tests pin to the scalar answer.
+    within it.  Returns ``(row, col)`` or ``None``.  Rows wider than
+    one machine word are plain arbitrary-precision ints, so the same
+    loop serves every device.
     """
     rows = len(row_bits)
     if rows < height:
         return None
-    cols = 0
-    for bits in row_bits:
-        length = bits.bit_length()
-        if length > cols:
-            cols = length
-    if cols < width:
+    # The widest row's top free bit bounds every run's end column.
+    if max(row_bits, default=0).bit_length() < width:
         return None
-    if rows * cols >= SMALL_SET:
-        PERF.first_fit_vector += 1
-        return _first_fit_words(row_bits, height, width, cols)
     PERF.first_fit_scalar += 1
     for r in range(rows - height + 1):
         band = row_bits[r]
@@ -114,90 +88,6 @@ def first_fit_bits(row_bits: list[int], height: int,
         if anchors:
             return r, (anchors & -anchors).bit_length() - 1
     return None
-
-
-def _shift_right_words(arr: np.ndarray, shift: int,
-                       out: np.ndarray) -> np.ndarray:
-    """Per-row right shift of word-packed bitmasks by ``shift`` bits.
-
-    ``arr`` and ``out`` are ``(n, words)`` uint64 arrays (little-endian
-    word order: word 0 holds columns 0–63).  Bits shifted out of word
-    ``i + 1`` carry into the top of word ``i``.
-    """
-    words = arr.shape[1]
-    word_off, bit_off = divmod(shift, _WORD)
-    out[:] = 0
-    if word_off >= words:
-        return out
-    keep = words - word_off
-    if bit_off == 0:
-        out[:, :keep] = arr[:, word_off:]
-    else:
-        np.right_shift(arr[:, word_off:], np.uint64(bit_off),
-                       out=out[:, :keep])
-        if word_off + 1 < words:
-            out[:, :keep - 1] |= arr[:, word_off + 1:] \
-                << np.uint64(_WORD - bit_off)
-    return out
-
-
-def _first_fit_words(row_bits: list[int], height: int, width: int,
-                     cols: int) -> tuple[int, int] | None:
-    """Vectorised :func:`first_fit_bits` over uint64 word rows.
-
-    Two doubling shift-AND reductions, each across the whole grid at
-    once: down the row axis to produce every anchor row's ``height``-row
-    band in one pass, then along the column axis (with cross-word
-    carries) to reduce each band to its run-anchor mask.  Scratch
-    arrays are pooled per grid shape in :data:`_SCRATCH`.
-    """
-    rows = len(row_bits)
-    words = (cols + _WORD - 1) // _WORD
-    key = (rows, words)
-    bufs = _SCRATCH.pop(key, None)
-    if bufs is None:
-        band = np.empty((rows, words), dtype=np.uint64)
-        temp = np.empty((rows, words), dtype=np.uint64)
-    else:
-        band, temp = bufs
-    nbytes = words * 8
-    band.reshape(-1)[:] = np.frombuffer(
-        b"".join(bits.to_bytes(nbytes, "little") for bits in row_bits),
-        dtype="<u8",
-    )
-    try:
-        # Band reduction down the rows: after each step, row i of the
-        # live prefix ANDs rows i .. i + span - 1 of the grid.
-        n = rows
-        span = 1
-        while span < height:
-            step = min(span, height - span)
-            np.bitwise_and(band[:n - step], band[step:n],
-                           out=temp[:n - step])
-            band, temp = temp, band
-            n -= step
-            span += step
-        # Run-anchor reduction along the columns of every band at once.
-        mask = band[:n]
-        shift = 1
-        while shift < width:
-            if not mask.any():
-                return None
-            step = min(shift, width - shift)
-            _shift_right_words(mask, step, temp[:n])
-            mask &= temp[:n]
-            shift += step
-        hit = mask.any(axis=1)
-        r = int(np.argmax(hit))
-        if not hit[r]:
-            return None
-        for w in range(words):
-            value = int(mask[r, w])
-            if value:
-                return r, w * _WORD + ((value & -value).bit_length() - 1)
-        return None
-    finally:
-        _SCRATCH[key] = (band, temp)
 
 
 def clear_rect(row_bits: list[int], row: int, row_end: int,

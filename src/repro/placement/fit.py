@@ -150,69 +150,20 @@ def fitter(name: str):
 
 
 class CachedFitter:
-    """A placement heuristic memoised per free-space generation.
+    """Name-only vestige of a removed per-generation answer cache.
 
-    The admission hot path re-asks the same fit question many times
-    between occupancy changes (every admission pass probes every waiting
-    shape).  A heuristic's answer is a pure function of (occupancy,
-    height, width), and the engines' ``generation`` counter names the
-    occupancy: it bumps on every effective mutation, so equal
-    generations guarantee a byte-identical grid.  The cache therefore
-    keys on ``(generation, height, width)`` and is dropped wholesale the
-    moment the generation moves — over-retention is impossible by
-    construction (``tests/test_fit_cache.py`` pins this with an
-    adversarially mutated engine).
-
-    Grid-path calls (no index) and indexes without a generation counter
-    bypass the cache entirely: there is no token naming the grid state.
+    Nothing in the package uses this class.  It stays only because the
+    benchmark's tracer wraps :meth:`prefetch` by name; it goes when a
+    benchmark change drops that binding.
     """
 
     def __init__(self, fn) -> None:
         self.fn = fn
-        self._index_id: int | None = None
-        self._generation: int | None = None
-        self._answers: dict[tuple[int, int], Rect | None] = {}
-        #: cache telemetry (hits/misses), for the property tests and
-        #: the perf harness.
-        self.hits = 0
-        self.misses = 0
-
-    def _sync(self, index: FreeSpaceIndex) -> bool:
-        """Point the cache at ``index``'s current generation; False when
-        the index exposes no generation counter (cache unusable)."""
-        generation = getattr(index, "generation", None)
-        if generation is None:
-            return False
-        if self._index_id != id(index) or self._generation != generation:
-            self._index_id = id(index)
-            self._generation = generation
-            self._answers.clear()
-        return True
-
-    def __call__(self, occupancy: np.ndarray, height: int, width: int,
-                 index: FreeSpaceIndex | None = None) -> Rect | None:
-        """Answer like the wrapped heuristic, consulting the cache."""
-        if index is None or not self._sync(index):
-            return self.fn(occupancy, height, width, index=index)
-        key = (height, width)
-        try:
-            answer = self._answers[key]
-        except KeyError:
-            self.misses += 1
-            answer = self.fn(occupancy, height, width, index=index)
-            self._answers[key] = answer
-            return answer
-        self.hits += 1
-        return answer
 
     def prefetch(self, occupancy: np.ndarray,
                  shapes: list[tuple[int, int]],
                  index: FreeSpaceIndex) -> None:
-        """Answer each shape through :meth:`__call__`, discarding them.
-
-        Nothing in the package calls this.  It stays only because the
-        benchmark's tracer wraps it by name; it goes when a benchmark
-        change drops that binding.
-        """
+        """Answer each shape with the wrapped heuristic, discarding the
+        answers."""
         for height, width in shapes:
-            self(occupancy, height, width, index=index)
+            self.fn(occupancy, height, width, index=index)

@@ -85,8 +85,9 @@ class IncrementalFreeSpace:
         """Counter bumped by every effective occupancy mutation.
 
         Two queries at the same generation see byte-identical occupancy,
-        so fit decisions and rearrangement plans may be memoised against
-        this value (see :class:`repro.placement.fit.CachedFitter`).
+        so work that depends only on the occupancy may be memoised
+        against this value (the fleet's per-member failure memo and the
+        rearrangement planner's per-token state do).
         No-op mutations — releasing an already-free region — do not
         bump it: the logic space is provably unchanged.
         """

@@ -34,6 +34,7 @@ snapshots pin it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from repro.core.manager import PlacementOutcome
 from repro.device.geometry import Rect
@@ -47,6 +48,7 @@ from .tasks import (
     FunctionRun,
     Task,
     TaskState,
+    check_seconds,
 )
 
 __all__ = [
@@ -62,6 +64,14 @@ __all__ = [
 #: task id or application owner sequence, still comfortably inside the
 #: fabric's int32 occupancy range.
 FAULT_OWNER_BASE = 1_000_000_000
+
+
+def _check_fault_int(name: str, value) -> None:
+    """Refuse a fault field that is not an integer >= 0."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} cannot be negative, got {value}")
 
 
 def _function_key(spec) -> str:
@@ -417,7 +427,8 @@ class OnlineTaskScheduler:
         members = getattr(self.manager, "members", None)
         if members is None:
             raise ValueError("member death requires a fleet manager")
-        if not 0 <= index < len(members):
+        _check_fault_int("member", index)
+        if not index < len(members):
             raise ValueError(f"no fleet member {index}")
         summary = {"member": index, "relocated": [], "restarted": [],
                    "dropped": []}
@@ -504,9 +515,18 @@ class OnlineTaskScheduler:
         future placement lands there.  With a ``duration`` the region
         heals after it (transient outbreak); ``None`` is permanent.
         Returns the recovery summary dict (plus the ``fault`` id).
+        Every argument is checked before anything moves: a refused
+        fault (``ValueError``) displaces nothing and counts nothing.
         """
         kernel = self.kernel
-        if not 0 <= device < len(kernel._managers):
+        for name, value in (("member", device), ("row", row), ("col", col),
+                            ("height", height), ("width", width)):
+            _check_fault_int(name, value)
+        if height < 1 or width < 1:
+            raise ValueError(f"degenerate region {height}x{width}")
+        if duration is not None:
+            check_seconds("duration", duration)
+        if not device < len(kernel._managers):
             raise ValueError(f"no device {device}")
         fabric = kernel._managers[device].fabric
         rect = Rect(row, col, height, width)
@@ -573,13 +593,16 @@ class OnlineTaskScheduler:
         port is occupied for ``retries`` x ``backoff`` seconds, so
         configuration traffic already queued (and any placement that
         follows) is pushed out by exactly that much.  Returns the
-        seconds charged.
+        seconds charged.  ``retries`` must be an integer >= 0 and
+        ``backoff`` a finite number >= 0 (``ValueError`` otherwise,
+        before anything is charged).
         """
         kernel = self.kernel
-        if not 0 <= device < len(kernel.ports):
+        _check_fault_int("member", device)
+        if not device < len(kernel.ports):
             raise ValueError(f"no device {device}")
-        if retries < 0 or backoff < 0:
-            raise ValueError("retries and backoff cannot be negative")
+        _check_fault_int("retries", retries)
+        check_seconds("backoff", backoff)
         kernel.metrics.faults_injected += 1
         if device in kernel.lost_members:
             return 0.0

@@ -64,12 +64,19 @@ def check_task_fields(height, width, exec_seconds, arrival,
     if max_wait is not None:
         times.append(("max_wait", max_wait))
     for name, value in times:
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-        if value < 0:
-            raise ValueError(f"negative time: {name} is {value}")
+        check_seconds(name, value)
+
+
+def check_seconds(name: str, value) -> None:
+    """Refuse a time that is not a finite number >= 0 (``ValueError``;
+    ``bool`` refused).  The rule :func:`check_task_fields` applies to
+    each task time, shared with the fault-injection entry points."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value < 0:
+        raise ValueError(f"negative time: {name} is {value}")
 
 
 @dataclass(slots=True)

@@ -267,17 +267,26 @@ class ServiceAPI:
             kind = str(body["kind"])
         except KeyError:
             raise _HttpError(400, "missing field 'kind'") from None
+        # Integer fields pass through raw, so 2.7 is refused rather
+        # than truncated; the service checks every field before any
+        # state moves.
         duration = body.get("duration")
+        try:
+            seconds = dict(
+                duration=float(duration) if duration is not None else None,
+                backoff=float(body.get("backoff", 0.2)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise _HttpError(400, f"bad fault field: {exc}") from None
         summary = self.service.inject_fault(
             kind,
-            member=int(body.get("member", 0)),
-            row=int(body.get("row", 0)),
-            col=int(body.get("col", 0)),
-            height=int(body.get("height", 0)),
-            width=int(body.get("width", 0)),
-            duration=float(duration) if duration is not None else None,
-            retries=int(body.get("retries", 3)),
-            backoff=float(body.get("backoff", 0.2)),
+            member=body.get("member", 0),
+            row=body.get("row", 0),
+            col=body.get("col", 0),
+            height=body.get("height", 0),
+            width=body.get("width", 0),
+            retries=body.get("retries", 3),
+            **seconds,
         )
         return 200, summary, {}
 

@@ -483,16 +483,18 @@ class ReproService:
 
     def tasks(self, state: str | None = None,
               limit: int | None = None) -> list[dict]:
-        """Status views of registered tasks, newest first."""
-        views = [
-            self.status(task_id)
-            for task_id in sorted(self.engine.tasks, reverse=True)
-        ]
+        """Status views of registered tasks, newest first.
+
+        ``state`` filters on the task state and ``limit`` keeps the
+        first that many; a view is built only for a task that is kept.
+        """
+        tasks = self.engine.tasks
+        ids = sorted(tasks, reverse=True)
         if state is not None:
-            views = [v for v in views if v["state"] == state]
+            ids = [i for i in ids if tasks[i].state.value == state]
         if limit is not None:
-            views = views[:limit]
-        return views
+            ids = ids[:limit]
+        return [self.status(task_id) for task_id in ids]
 
     def telemetry(self) -> dict:
         """Current telemetry snapshot (latest sample + live queue/run

@@ -19,9 +19,9 @@ never been interrupted.
 
 Two deliberate non-goals, documented so nobody chases "missing" state:
 
-* the manager's ``outcomes`` histories and fit-cache contents are not
-  serialized — they are diagnostics/memoisation, and future behaviour
-  depends only on occupancy, queue and events;
+* the memos of the kernel, the fleet and the rearrangement planner are
+  not serialized — they only skip work, and future behaviour depends
+  only on occupancy, queue and events;
 * the kernel's space-version counters restart from zero — only their
   *equality* is meaningful, and the restore re-establishes the one
   relationship that matters (a non-empty restored queue is marked

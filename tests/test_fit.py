@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.device.devices import device
 from repro.device.geometry import Rect
+from repro.placement.bitgrid import first_fit_bits, pack_free_rows
 from repro.placement.fit import (
     FIT_ALGORITHMS,
     best_fit,
@@ -116,3 +118,49 @@ def test_all_heuristics_return_free_rectangles(rows, cols, h, w, seed):
             view = occ[rect.row : rect.row_end, rect.col : rect.col_end]
             assert view.shape == (h, w), name
             assert (view == 0).all(), name
+
+
+def _scattered_grid(rows, cols, blocks, noise, seed):
+    """Rectangular residents plus single-site noise, like a churned
+    fabric: a few large free windows survive between the blocks."""
+    rng = np.random.default_rng(seed)
+    occ = np.zeros((rows, cols), dtype=np.int32)
+    for owner in range(1, blocks + 1):
+        r, c = int(rng.integers(rows)), int(rng.integers(cols))
+        occ[r:r + int(rng.integers(1, 9)),
+            c:c + int(rng.integers(1, 17))] = owner
+    occ[rng.random((rows, cols)) < noise] = blocks + 1
+    return occ
+
+
+class TestFirstFitBits:
+    """The packed-row first fit the planners use equals the grid path of
+    :func:`first_fit`, on rows of one machine word and of several."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(1, 16), st.integers(1, 130)),
+            st.just((64, 96)),   # an XCV1000-sized grid
+        ),
+        h=st.integers(1, 12), w=st.integers(1, 100),
+        blocks=st.integers(0, 30), noise=st.sampled_from([0.0, 0.01, 0.1]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_grid_first_fit(self, shape, h, w, blocks, noise,
+                                    seed):
+        rows, cols = shape
+        occ = _scattered_grid(rows, cols, blocks, noise, seed)
+        expect = first_fit(occ, h, w)
+        got = first_fit_bits(pack_free_rows(occ), h, w)
+        assert got == (None if expect is None else (expect.row, expect.col))
+
+    def test_window_straddling_a_word_boundary_on_xcv1000(self):
+        dev = device("XCV1000")
+        occ = np.ones((dev.clb_rows, dev.clb_cols), dtype=np.int32)
+        occ[40:45, 60:70] = 0   # columns 60..69 span words 0 and 1
+        occ[50:55, 70:96] = 0   # wider, but lower: row-major loses
+        assert first_fit(occ, 5, 10) == Rect(40, 60, 5, 10)
+        assert first_fit_bits(pack_free_rows(occ), 5, 10) == (40, 60)
+        assert first_fit_bits(pack_free_rows(occ), 5, 11) == (50, 70)
+        assert first_fit_bits(pack_free_rows(occ), 6, 10) is None

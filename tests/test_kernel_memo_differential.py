@@ -40,6 +40,21 @@ def _churn_tasks(n: int, seed: int):
 
 def _run(queue: str, ports: str, seed: int, n: int, memoised: bool):
     manager = LogicSpaceManager(Fabric(device("XC2S15")))
+    # The admission trace: every placement that happened, in order,
+    # with its rearrangement method.  Failed probes are *meant* to
+    # differ — skipping them is exactly what the memos do — so only
+    # the successes of ``manager.request`` (which sees probes, not
+    # schedule) are compared.
+    placed = []
+    request = manager.request
+
+    def traced(*args, **kwargs):
+        o = request(*args, **kwargs)
+        if o.success:
+            placed.append((o.owner, o.rect, o.method, o.config_seconds))
+        return o
+
+    manager.request = traced
     scheduler = OnlineTaskScheduler(manager, queue=queue, ports=ports)
     if not memoised:
         _disable_memos(scheduler.kernel)
@@ -49,13 +64,7 @@ def _run(queue: str, ports: str, seed: int, n: int, memoised: bool):
         scheduler.events.processed,
         scheduler.port.busy_seconds,
         manager.fabric.occupancy.tobytes(),
-        # The admission trace: every placement that happened, in order,
-        # with its rearrangement method.  Failed probes are *meant* to
-        # differ — skipping them is exactly what the memos do — so the
-        # raw ``manager.outcomes`` log (which records probes, not
-        # schedule) is compared on its successes only.
-        [(o.owner, o.rect, o.method, o.config_seconds)
-         for o in manager.outcomes if o.success],
+        placed,
     )
 
 

@@ -145,8 +145,8 @@ class TestTelemetry:
         assert 0.0 <= manager.fragmentation() <= 1.0
 
     def test_outcomes_recorded(self, manager):
-        manager.request(2, 2, owner=1)
-        manager.request(99, 99, owner=2)
-        assert len(manager.outcomes) == 2
-        assert manager.outcomes[0].success
-        assert not manager.outcomes[1].success
+        """Each request reports its own outcome to the caller."""
+        outcomes = [manager.request(2, 2, owner=1),
+                    manager.request(99, 99, owner=2)]
+        assert [o.success for o in outcomes] == [True, False]
+        assert [o.owner for o in outcomes] == [1, 2]

@@ -20,6 +20,7 @@ import pytest
 from repro.sched.tasks import Task, check_task_fields
 from repro.sched.trace import parse_trace
 from repro.service import ReproService, ServiceAPI, snapshot, restore
+from repro.service.app import ServiceConfig
 
 
 def fresh() -> ReproService:
@@ -180,3 +181,156 @@ def test_restore_refuses_a_checkpoint_task_with_a_broken_field():
     state["tasks"][0]["height"] = 0
     with pytest.raises(ValueError, match="non-positive shape"):
         restore(state)
+
+
+# -- fault requests ----------------------------------------------------------
+
+
+def busy_fleet() -> ReproService:
+    """Two XC2S15 members; four 2x3 tasks configuring on member 0 along
+    its top rows, so a region fault at (0, 0) overlaps live work."""
+    service = ReproService(ServiceConfig(device="XC2S15", fleet_size=2))
+    for _ in range(4):
+        service.submit(2, 3, 5.0)
+    service.advance(until=0.5)
+    return service
+
+
+def fault_fingerprint(service: ReproService):
+    """Everything a refused fault must leave alone: the counters and
+    clock (``stats``), every task view, both fabrics, the journal and
+    the pending events."""
+    return (
+        json.dumps(service.stats(), sort_keys=True),
+        json.dumps(service.tasks(), sort_keys=True),
+        [m.fabric.occupancy.tobytes()
+         for m in service.engine.kernel._managers],
+        len(service.engine.journal),
+        service.engine.events.pending,
+    )
+
+
+@pytest.mark.parametrize("kind, fields, message", [
+    ("region-stuck", dict(height=2, width=6, duration=-5.0),
+     "negative time: duration"),
+    ("region-stuck", dict(height=2, width=6, duration=math.nan),
+     "duration must be finite"),
+    ("region-stuck", dict(height=2, width=6, duration=math.inf),
+     "duration must be finite"),
+    ("region-stuck", dict(row=0.5, height=2, width=6), "row must be an"),
+    ("region-stuck", dict(height=2, width=6.0), "width must be an"),
+    ("region-stuck", dict(height=0, width=6), "degenerate region"),
+    ("port-flaky", dict(backoff=math.nan), "backoff must be finite"),
+    ("port-flaky", dict(backoff=math.inf), "backoff must be finite"),
+    ("port-flaky", dict(retries=2.5), "retries must be an integer"),
+    ("port-flaky", dict(retries=True), "retries must be an integer"),
+])
+def test_a_refused_fault_changes_nothing(kind, fields, message):
+    service = busy_fleet()
+    before = fault_fingerprint(service)
+    with pytest.raises(ValueError, match=message):
+        service.inject_fault(kind, **fields)
+    assert fault_fingerprint(service) == before
+    assert service.stats()["faults_injected"] == 0
+    service.settle()
+    assert math.isfinite(service.now)
+    assert all(v["state"] == "finished" for v in service.tasks())
+    assert not any(m.fabric.occupancy.any()
+                   for m in service.engine.kernel._managers)
+
+
+def test_valid_fault_boundaries_are_accepted():
+    service = busy_fleet()
+    service.inject_fault("port-flaky", retries=0, backoff=0.0)
+    out = service.inject_fault("region-stuck", row=6, col=0, height=2,
+                               width=2, duration=0.0)
+    assert out["fault"] == 1
+    assert service.stats()["faults_injected"] == 2
+
+
+def test_invalid_fault_post_is_a_400_not_a_500():
+    async def body():
+        api = ServiceAPI(ReproService())
+        host, port = await api.start(port=0)
+        statuses = []
+        try:
+            for payload in (
+                {"kind": "port-flaky", "backoff": "nan"},
+                {"kind": "port-flaky", "backoff": "inf"},
+                {"kind": "port-flaky", "member": [0]},
+                {"kind": "region-stuck", "height": 2, "width": 2,
+                 "duration": -5},
+                {"kind": "region-stuck", "height": 2, "width": 2,
+                 "duration": {"s": 1}},
+                {"kind": "region-stuck", "row": 2.7, "height": 2,
+                 "width": 2},
+                {"kind": "port-flaky", "retries": "3"},
+                {"kind": "port-flaky", "retries": 1, "backoff": 0.5},
+            ):
+                reader, writer = await asyncio.open_connection(host, port)
+                data = json.dumps(payload).encode()
+                writer.write(
+                    (f"POST /faults HTTP/1.1\r\nHost: t\r\n"
+                     f"Content-Length: {len(data)}\r\n\r\n").encode()
+                    + data
+                )
+                await writer.drain()
+                raw = await reader.read()
+                writer.close()
+                statuses.append(int(raw.split(b" ", 2)[1]))
+        finally:
+            await api.stop()
+        return statuses, api.service.stats()["faults_injected"]
+
+    statuses, injected = asyncio.run(body())
+    assert statuses == [400, 400, 400, 400, 400, 400, 400, 200]
+    assert injected == 1
+
+
+# -- task listing ------------------------------------------------------------
+
+
+def listed_service() -> ReproService:
+    """Finished, configuring, queued and rejected tasks side by side."""
+    service = ReproService(ServiceConfig(device="XC2S15"))
+    for i in range(12):
+        service.submit(4, 4 + i % 3, 1.0 + i, qos=("gold", "silver")[i % 2])
+    service.advance(until=4.0)
+    return service
+
+
+def all_views_then_slice(service, state=None, limit=None):
+    """The listing spelled out the long way: every view, then filter
+    and slice."""
+    views = [service.status(i)
+             for i in sorted(service.engine.tasks, reverse=True)]
+    if state is not None:
+        views = [v for v in views if v["state"] == state]
+    return views if limit is None else views[:limit]
+
+
+@pytest.mark.parametrize("state", [None, "finished", "queued", "rejected",
+                                   "configuring", "bogus"])
+@pytest.mark.parametrize("limit", [None, 0, 1, 3, 100, -2])
+def test_task_listing_equals_the_full_build(state, limit):
+    service = listed_service()
+    assert {v["state"] for v in service.tasks()} \
+        == {"finished", "configuring", "queued", "rejected"}
+    assert service.tasks(state=state, limit=limit) \
+        == all_views_then_slice(service, state, limit)
+
+
+@pytest.mark.parametrize("state", [None, "rejected"])
+def test_task_listing_builds_at_most_limit_views(state, monkeypatch):
+    service = listed_service()
+    built = []
+    status = service.status
+
+    def counting(task_id):
+        built.append(task_id)
+        return status(task_id)
+
+    monkeypatch.setattr(service, "status", counting)
+    views = service.tasks(state=state, limit=2)
+    assert len(views) == 2
+    assert len(built) == 2
