@@ -3,11 +3,11 @@
 
 The committed ``BENCH_sched.json`` / ``BENCH_freespace.json`` /
 ``BENCH_fleet.json`` / ``BENCH_service.json`` /
-``BENCH_prefetch.json`` files are the performance claims this
-repository makes (kernel events per second, queue-discipline ops per
-second, free-space microbenchmark latency, fleet scheduling
-throughput, service door throughput and latency, prefetch stall
-reduction).  A
+``BENCH_prefetch.json`` / ``BENCH_defrag.json`` files are the
+performance claims this repository makes (kernel events per second,
+queue-discipline ops per second, free-space microbenchmark latency,
+fleet scheduling throughput, service door throughput and latency,
+prefetch stall reduction, defrag planner latency).  A
 refactor can silently walk those claims back without ever reddening a
 correctness test, so CI re-runs both harnesses in ``--smoke`` mode and
 compares every *rate* metric against the committed baseline:
@@ -16,8 +16,8 @@ compares every *rate* metric against the committed baseline:
   ``ops_per_second``, ``submissions_per_second``, ...) fail when the
   fresh value drops below ``baseline / factor``;
 * rates where **lower is better** (``us_per_op``, the door's p99
-  admission latency) fail when the fresh value rises above
-  ``baseline * factor``.
+  admission latency, the planner's ``*_ms_per_plan``) fail when the
+  fresh value rises above ``baseline * factor``.
 
 The default ``factor`` of 3x is deliberately loose: smoke streams are
 smaller than the committed full runs and CI machines are slower and
@@ -27,8 +27,9 @@ lost cache), never scheduler jitter.  Wall-clock totals are not
 compared at all — they scale with stream size, rates largely don't.
 
 Metrics are matched by key (queue name, (queue, ports) cell, (grid,
-engine) pair); keys present on only one side are reported and skipped,
-so resizing the smoke grid does not break the guard.
+engine) pair, planner grid); keys present on only one side are
+reported and skipped, so resizing the smoke grid does not break the
+guard.
 
 Run from the repo root (CI runs exactly this, see
 ``.github/workflows/ci.yml``):
@@ -36,9 +37,10 @@ Run from the repo root (CI runs exactly this, see
     PYTHONPATH=src python benchmarks/perf/bench_guard.py
 
 Pass ``--fresh-sched`` / ``--fresh-freespace`` / ``--fresh-fleet`` /
-``--fresh-service`` / ``--fresh-prefetch`` to compare existing result
-files instead of re-running the harnesses (the test suite uses this to
-exercise the comparison logic on canned payloads).
+``--fresh-service`` / ``--fresh-prefetch`` / ``--fresh-defrag`` to
+compare existing result files instead of re-running the harnesses (the
+test suite uses this to exercise the comparison logic on canned
+payloads).
 """
 
 from __future__ import annotations
@@ -185,6 +187,16 @@ def prefetch_stalls(payload: dict) -> dict[str, float]:
     return rates
 
 
+def defrag_latencies(payload: dict) -> dict[str, float]:
+    """Lower-is-better planner latencies of a ``bench_defrag`` payload:
+    milliseconds per consolidation and per reactive plan, per grid."""
+    rates: dict[str, float] = {}
+    for row in payload.get("planner", []):
+        for metric in ("consolidation_ms_per_plan", "reactive_ms_per_plan"):
+            rates[f"planner/{row['grid']}/{metric}"] = row[metric]
+    return rates
+
+
 def kernel_floor_failures(payload: dict) -> list[str]:
     """Floor violations of a committed ``bench_sched`` baseline.
 
@@ -261,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fresh-prefetch", metavar="PATH",
                         help="existing bench_prefetch result to compare "
                              "instead of re-running the harness")
+    parser.add_argument("--fresh-defrag", metavar="PATH",
+                        help="existing bench_defrag result to compare "
+                             "instead of re-running the harness")
     args = parser.parse_args(argv)
     baseline_dir = Path(args.baseline_dir)
 
@@ -297,6 +312,11 @@ def main(argv: list[str] | None = None) -> int:
             # here before any ratio is compared.
             fresh_prefetch = _run_smoke("bench_prefetch.py",
                                         Path(tmp) / "prefetch.json")
+        if args.fresh_defrag:
+            fresh_defrag = json.loads(Path(args.fresh_defrag).read_text())
+        else:
+            fresh_defrag = _run_smoke("bench_defrag.py",
+                                      Path(tmp) / "defrag.json")
 
     failures = []
     baseline_sched = json.loads(
@@ -335,6 +355,12 @@ def main(argv: list[str] | None = None) -> int:
                         args.factor, higher_is_better=True)
     failures += compare(prefetch_stalls(baseline_prefetch),
                         prefetch_stalls(fresh_prefetch),
+                        args.factor, higher_is_better=False)
+    baseline_defrag = json.loads(
+        (baseline_dir / "BENCH_defrag.json").read_text()
+    )
+    failures += compare(defrag_latencies(baseline_defrag),
+                        defrag_latencies(fresh_defrag),
                         args.factor, higher_is_better=False)
     if not fresh_service.get("checkpoint", {}).get(
             "roundtrip_identical", True):

@@ -17,7 +17,8 @@ plan wins:
 * **eviction** — pick a target window and relocate exactly the functions
   overlapping it into free space elsewhere (the most surgical plan).
 
-Planning happens on scratch grids; execution belongs to the manager,
+Planning happens on scratch copies (packed free-row bitmasks, and grids
+where moves are sequenced); execution belongs to the manager,
 which charges reconfiguration time per move and — in the paper's
 contribution — performs the moves *concurrently* with execution via
 dynamic relocation instead of halting the moved functions.
@@ -34,19 +35,18 @@ from repro.perf import PERF
 from repro.placement.bitgrid import (
     clear_rect,
     first_fit_bits,
+    largest_free_rect_bits,
     pack_free_rows,
     set_rect,
     span_mask,
 )
 from repro.placement.compaction import (
     Move,
-    apply_moves,
+    apply_moves_bits,
     compaction_moves,
     footprints,
-    ordered_compaction,
     sequence_moves,
 )
-from repro.placement.free_space import largest_empty_rectangle
 
 @dataclass
 class RearrangementPlan:
@@ -182,34 +182,48 @@ class DefragPlanner:
         sequence (corner packing), each truncated to
         ``max_consolidation_moves``; a prefix of a compaction move list
         is always executable in order, so truncation stays collision
-        free.  Returns ``None`` unless some candidate *strictly* grows
+        free.  All three come from one footprint scan and one row
+        packing: every sweep returns its compacted free-row bitmasks,
+        the corner sweep starts from the left sweep's, and only a
+        truncated prefix is replayed (:func:`apply_moves_bits`).
+        Returns ``None`` unless some candidate *strictly* grows
         the largest free rectangle — consolidation never shrinks it, and
         pointless move lists are never executed.  The returned plan's
         ``target`` is the largest free rectangle of the compacted grid.
         """
-        current = largest_empty_rectangle(occupancy)
-        baseline = current.area if current is not None else 0
+        row_bits = pack_free_rows(occupancy)
+        prints = footprints(occupancy)
+        current = largest_free_rect_bits(row_bits)
+        baseline = current[2] * current[3] if current is not None else 0
         cap = self.max_consolidation_moves
-        candidates: list[tuple[str, list[Move]]] = []
-        left = ordered_compaction(occupancy, toward="left")
-        top = ordered_compaction(occupancy, toward="top")
-        candidates.append(("consolidate-left", left[:cap]))
-        candidates.append(("consolidate-top", top[:cap]))
+        left, left_bits = compaction_moves(prints, row_bits, "left")
+        top, top_bits = compaction_moves(prints, row_bits, "top")
+        candidates: list[tuple[str, list[Move], list[int]]] = [
+            ("consolidate-left", left, left_bits),
+            ("consolidate-top", top, top_bits),
+        ]
         if left and len(left) < cap:
             # Corner packing: compact left, then compact the result up
             # (skipped when truncation could never reach the top moves —
             # the candidate would duplicate the plain left compaction).
-            shifted = apply_moves(occupancy, left)
-            corner = left + ordered_compaction(shifted, toward="top")
-            candidates.append(("consolidate-corner", corner[:cap]))
+            shifted = dict(prints)
+            for m in left:
+                shifted[m.owner] = m.dst
+            up, corner_bits = compaction_moves(shifted, left_bits, "top")
+            candidates.append(("consolidate-corner", left + up, corner_bits))
         best: RearrangementPlan | None = None
         best_key: tuple[int, int, int] | None = None
-        for method, moves in candidates:
+        for method, moves, bits in candidates:
             if not moves:
                 continue
-            compacted = apply_moves(occupancy, moves)
-            target = largest_empty_rectangle(compacted)
-            if target is None or target.area <= baseline:
+            if len(moves) > cap:
+                moves = moves[:cap]
+                bits = apply_moves_bits(row_bits, moves)
+            found = largest_free_rect_bits(bits)
+            if found is None:
+                continue
+            target = Rect(*found)
+            if target.area <= baseline:
                 continue
             key = (
                 -target.area,

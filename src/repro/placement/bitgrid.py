@@ -90,6 +90,51 @@ def first_fit_bits(row_bits: list[int], height: int,
     return None
 
 
+def largest_free_rect_bits(
+    row_bits: list[int],
+) -> tuple[int, int, int, int] | None:
+    """The largest free rectangle as ``(row, col, height, width)``, or
+    ``None`` when no site is free.
+
+    Ties go to the topmost row, then the shortest height, then the
+    leftmost column.  For each top row the band of columns free across
+    rows ``top .. top + height - 1`` shrinks as the height grows; its
+    longest run of set bits is the widest rectangle of that height.
+    Any taller rectangle from this top row is at most
+    ``popcount(band)`` wide and ``rows - top`` high, so the descent
+    stops once that bound cannot beat the best area found.  Runs are
+    grown by shift-AND starting from the width that would beat the
+    best, so most bands cost one doubling walk or none.
+    """
+    rows = len(row_bits)
+    best = 0
+    found = None
+    for top in range(rows):
+        rows_left = rows - top
+        band = -1
+        for height in range(1, rows_left + 1):
+            band &= row_bits[top + height - 1]
+            free = band.bit_count()
+            if free * rows_left <= best:
+                break
+            width = best // height + 1
+            if free < width:
+                continue
+            anchors = run_anchor_mask(band, width)
+            if not anchors:
+                continue
+            while True:
+                longer = anchors & (anchors >> 1)
+                if not longer:
+                    break
+                anchors = longer
+                width += 1
+            best = height * width
+            found = (top, (anchors & -anchors).bit_length() - 1,
+                     height, width)
+    return found
+
+
 def clear_rect(row_bits: list[int], row: int, row_end: int,
                mask: int) -> None:
     """Mark the masked columns of rows ``row .. row_end - 1`` occupied."""

@@ -105,6 +105,21 @@ def apply_moves(occupancy: np.ndarray, moves: list[Move]) -> np.ndarray:
     return grid
 
 
+def apply_moves_bits(row_bits: list[int], moves: list[Move]) -> list[int]:
+    """:func:`apply_moves` on free-column bitmasks: a copy of
+    ``row_bits`` with the moves applied in order, raising the same
+    ``ValueError`` when a destination is not free."""
+    bits = list(row_bits)
+    for m in moves:
+        set_rect(bits, m.src.row, m.src.row_end,
+                 span_mask(m.src.col, m.src.width))
+        dst_mask = span_mask(m.dst.col, m.dst.width)
+        if band_mask(bits, m.dst.row, m.dst.row_end) & dst_mask != dst_mask:
+            raise ValueError(f"{m} lands on occupied sites")
+        clear_rect(bits, m.dst.row, m.dst.row_end, dst_mask)
+    return bits
+
+
 def ordered_compaction(occupancy: np.ndarray,
                        toward: str = "left") -> list[Move]:
     """Slide every function as far as possible toward one edge.

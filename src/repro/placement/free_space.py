@@ -40,6 +40,8 @@ import numpy as np
 
 from repro.device.geometry import Rect
 
+from .bitgrid import largest_free_rect_bits, pack_free_rows
+
 #: Names accepted by :func:`make_free_space` (and the campaign's
 #: ``free_space`` axis).
 FREE_SPACE_NAMES = ("recompute", "incremental")
@@ -94,11 +96,16 @@ def maximal_empty_rectangles(occupancy: np.ndarray) -> list[Rect]:
 
 
 def largest_empty_rectangle(occupancy: np.ndarray) -> Rect | None:
-    """The largest free rectangle (None when the grid is full)."""
-    mers = maximal_empty_rectangles(occupancy)
-    if not mers:
-        return None
-    return max(mers, key=lambda r: r.area)
+    """The largest free rectangle (None when the grid is full).
+
+    Its area equals the largest of :func:`maximal_empty_rectangles`;
+    among equal areas the topmost row wins, then the shortest height,
+    then the leftmost column (see
+    :func:`~repro.placement.bitgrid.largest_free_rect_bits`, which runs
+    on the packed free rows without enumerating the MER set).
+    """
+    found = largest_free_rect_bits(pack_free_rows(occupancy))
+    return Rect(*found) if found is not None else None
 
 
 def rectangles_fitting(occupancy: np.ndarray, height: int,

@@ -25,7 +25,12 @@ from collections import deque
 
 import numpy as np
 
-from .free_space import FreeSpaceIndex, free_mask, maximal_empty_rectangles
+from .free_space import (
+    FreeSpaceIndex,
+    free_mask,
+    largest_empty_rectangle,
+    maximal_empty_rectangles,
+)
 
 
 def _mers_of(occupancy: np.ndarray,
@@ -44,9 +49,8 @@ def _largest_of(occupancy: np.ndarray,
     generation), else recomputed from the grid."""
     if index is not None:
         return index.largest_free_area()
-    return max(
-        (r.area for r in maximal_empty_rectangles(occupancy)), default=0
-    )
+    largest = largest_empty_rectangle(occupancy)
+    return largest.area if largest is not None else 0
 
 
 def fragmentation_index(occupancy: np.ndarray,

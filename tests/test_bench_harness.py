@@ -157,6 +157,31 @@ class TestGuardRates:
             "checkpoint/restore_ms": 5.0,
         }
 
+    def test_committed_defrag_file_gates_a_slower_planner(self):
+        """The committed planner cells pass against themselves, and one
+        consolidation row 4x slower fails at the default ratio."""
+        import copy
+        import json
+
+        committed = json.loads(
+            (_PERF.parent.parent / "BENCH_defrag.json").read_text()
+        )
+        base = bench_guard.defrag_latencies(committed)
+        assert {"planner/XCV200/consolidation_ms_per_plan",
+                "planner/XCV200/reactive_ms_per_plan"} <= base.keys()
+        assert bench_guard.compare(base, base, bench_guard.DEFAULT_FACTOR,
+                                   higher_is_better=False) == []
+        slower = copy.deepcopy(committed)
+        row = next(r for r in slower["planner"] if r["grid"] == "XCV200")
+        row["consolidation_ms_per_plan"] *= 4
+        failures = bench_guard.compare(
+            base, bench_guard.defrag_latencies(slower),
+            bench_guard.DEFAULT_FACTOR, higher_is_better=False,
+        )
+        assert len(failures) == 1
+        assert failures[0].startswith(
+            "planner/XCV200/consolidation_ms_per_plan: rose 4.0x")
+
 
 class TestGuardCompare:
     BASE = {"a": 1000.0, "b": 200.0}
@@ -282,11 +307,17 @@ class TestGuardEndToEnd:
             ],
             "bursty": [],
         }))
+        (tmp_path / "BENCH_defrag.json").write_text(json.dumps({
+            "planner": [{"grid": "XCV200",
+                         "consolidation_ms_per_plan": 1.0,
+                         "reactive_ms_per_plan": 10.0}],
+        }))
         return tmp_path
 
     def _fresh(self, tmp_path: Path, events: float, us: float,
                fleet: float = 600.0, subs: float = 700.0,
-               roundtrip: bool = True, plan_stall: float = 0.2):
+               roundtrip: bool = True, plan_stall: float = 0.2,
+               consolidation_ms: float = 1.5):
         import json
 
         sched = tmp_path / "fresh_sched.json"
@@ -321,10 +352,16 @@ class TestGuardEndToEnd:
                  "config_stall_seconds": plan_stall},
             ], "bursty": []}
         ))
-        return sched, free, fleet_path, service, prefetch
+        defrag = tmp_path / "fresh_defrag.json"
+        defrag.write_text(json.dumps(
+            {"planner": [{"grid": "XCV200",
+                          "consolidation_ms_per_plan": consolidation_ms,
+                          "reactive_ms_per_plan": 12.0}]}
+        ))
+        return sched, free, fleet_path, service, prefetch, defrag
 
     def _run(self, base: Path, paths) -> int:
-        sched, free, fleet, service, prefetch = paths
+        sched, free, fleet, service, prefetch, defrag = paths
         return bench_guard.main([
             "--baseline-dir", str(base),
             "--fresh-sched", str(sched),
@@ -332,6 +369,7 @@ class TestGuardEndToEnd:
             "--fresh-fleet", str(fleet),
             "--fresh-service", str(service),
             "--fresh-prefetch", str(prefetch),
+            "--fresh-defrag", str(defrag),
         ])
 
     def test_clean_comparison_exits_zero(self, tmp_path):
@@ -359,6 +397,12 @@ class TestGuardEndToEnd:
         # default 0.2/0.5 = 0.4 passes (see the cases above).
         paths = self._fresh(tmp_path, events=30_000.0, us=150.0,
                             plan_stall=0.99)
+        assert self._run(base, paths) == 1
+
+    def test_defrag_planner_slowdown_caught(self, tmp_path):
+        base = self._baselines(tmp_path)
+        paths = self._fresh(tmp_path, events=30_000.0, us=150.0,
+                            consolidation_ms=4.0)
         assert self._run(base, paths) == 1
 
     def test_checkpoint_divergence_fails_even_when_fast(self, tmp_path):
